@@ -19,12 +19,12 @@ from .symcalc import (CurvatureJet, HomogeneousSymbol, PiValue, SymbolSum,
 from .torsion import (ContorsionTensor, FrameConnection, OneForm,
                       ResidueValue, TorsionTensor, chirality_functional,
                       closed_form_torsion, contorsion_from_torsion,
-                      dirac_symbol, inverse_power_symbol,
+                      dirac_symbol, inverse_power_symbol, lead_residue,
                       levi_civita_from_structure, metric_functional,
                       pipeline_coefficient, residue_of_symbol,
-                      spectral_closedness_check, torsion_contraction,
-                      torsion_from_contorsion, torsion_functional,
-                      volume_functional)
+                      spectral_closedness_check, sphere_average,
+                      torsion_contraction, torsion_from_contorsion,
+                      torsion_functional, volume_functional)
 from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
                                 MatrixOneForm, adjoint_matrix, adjoint_trace,
                                 doubled_residue, doubled_spanning_forms,
@@ -35,8 +35,8 @@ from .qmodels import (CancellationReport, ConvergenceError, FormalSeries,
                       antisymmetric_theta, disc_represent,
                       disc_truncated_trace, suq2_paired_combination,
                       suq2_residue_cancellation, tau0_dn, tau0_up, tau1,
-                      torus_derive, torus_exp, torus_mul, torus_trace,
-                      torus_trace_identity, zstar_z)
+                      torus_exp, torus_trace, torus_trace_identity,
+                      zstar_z)
 from .sampling import (random_anti_hermitian_traceless, random_contorsion,
                        random_fraction, random_one_form, random_qqi,
                        random_theta, random_torsion, random_torus_h, seeded)
@@ -56,17 +56,16 @@ __all__ = [
     "dirac_symbol", "disc_represent", "disc_truncated_trace",
     "doubled_residue", "doubled_spanning_forms", "doubled_torsion_free_test",
     "eym_dirac_symbol", "eym_torsion_density", "inverse_power_symbol",
-    "left_mult_matrix", "levi_civita_from_structure", "metric_functional",
-    "moment", "mul", "negative_power", "parametrix",
+    "lead_residue", "left_mult_matrix", "levi_civita_from_structure",
+    "metric_functional", "moment", "mul", "negative_power", "parametrix",
     "parse_complex_rational", "parse_rational", "pipeline_coefficient", "qi",
     "random_anti_hermitian_traceless", "random_contorsion",
     "random_fraction", "random_one_form", "random_qqi", "random_theta",
     "random_torsion", "random_torus_h", "reduce_word", "residue_of_symbol",
-    "seeded", "spectral_closedness_check", "sphere_integrate",
+    "seeded", "spectral_closedness_check", "sphere_average", "sphere_integrate",
     "sphere_volume", "sqrt_symbol", "suq2_paired_combination",
     "suq2_residue_cancellation", "tau0_dn", "tau0_up", "tau1",
     "torsion_contraction", "torsion_from_contorsion", "torsion_functional",
-    "torus_derive", "torus_exp", "torus_mul", "torus_trace",
-    "torus_trace_identity", "trace_power", "unit_symbol",
+    "torus_exp", "torus_trace", "torus_trace_identity", "trace_power", "unit_symbol",
     "volume_functional", "zstar_z",
 ]

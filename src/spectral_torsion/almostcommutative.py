@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .clifford import Multivector, chirality, clifford_trace
+from .clifford import Multivector, chirality
 from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
-from .symcalc import (HomogeneousSymbol, SymbolSum, compose, negative_power,
-                      sphere_integrate)
+from .symcalc import HomogeneousSymbol, SymbolSum, compose, negative_power
 from .torsion import (OneForm, ResidueValue, TorsionTensor, _zero_order_symbol,
-                      dirac_symbol, residue_of_symbol)
+                      dirac_symbol, lead_residue, sphere_average)
 
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
@@ -145,30 +144,35 @@ def eym_dirac_symbol(model: EymModel) -> SymbolSum:
     return SymbolSum(dim, parts, budget=2)
 
 
+def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
+              w: MatrixOneForm) -> Multivector:
+    if not (u.dim == v.dim == w.dim == model.dim):
+        raise ValueError("dimension mismatch among inputs")
+    if not (u.size == v.size == w.size == model.size):
+        raise ValueError("coefficient size mismatch")
+    return u.action() * v.action() * w.action()
+
+
+def _eym_operator(model: EymModel) -> SymbolSum:
+    """Symbol of D~ |D~|^{-n} to two leading degrees."""
+    d = eym_dirac_symbol(model)
+    return compose(d, negative_power(compose(d, d, 2), model.dim // 2, 2), 2)
+
+
 def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
                         w: MatrixOneForm) -> HomogeneousSymbol:
     """Degree -n component of sigma(u v w D~ |D~|^{-n}) before integration/trace.
 
     Exposed so linearity in the ad operators can be checked term by term."""
-    if not (u.dim == v.dim == w.dim == model.dim):
-        raise ValueError("dimension mismatch among inputs")
-    if not (u.size == v.size == w.size == model.size):
-        raise ValueError("coefficient size mismatch")
-    d = eym_dirac_symbol(model)
-    d2 = compose(d, d, 2)
-    pw = negative_power(d2, model.dim // 2, 2)
-    lead = _zero_order_symbol(u.action() * v.action() * w.action())
-    full = compose(lead, compose(d, pw, 2), 2)
-    return full.component(-model.dim)
+    lead = _zero_order_symbol(_eym_lead(model, u, v, w))
+    return compose(lead, _eym_operator(model), 2).component(-model.dim)
 
 
 def eym_torsion_density(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
                         w: MatrixOneForm) -> ResidueValue:
     """W(u v w D~ |D~|^{-n}) for the Yang-Mills fluctuation; identically zero."""
-    comp = eym_sigma_component(model, u, v, w)
-    integrated = sphere_integrate(comp)
-    mult = clifford_trace(integrated)
-    return ResidueValue(mult, model.dim)
+    lead = _eym_lead(model, u, v, w)
+    return lead_residue(lead, sphere_average(_eym_operator(model), model.dim))
 
 
 # two-sheeted space -----------------------------------------------------------
@@ -213,18 +217,18 @@ class DoubledOneForm:
 
 
 class DoubledEvaluator:
-    """Caches the torsion-free base symbols for repeated doubled residues."""
+    """Caches the sphere-averaged torsion-free base symbols for repeated doubled residues."""
 
     def __init__(self, dim: int):
         if dim % 2 or dim < 2:
             raise ValueError("even base dimension required")
         self.dim = dim
-        t0 = TorsionTensor.zero(dim)
-        d = dirac_symbol(t0, dim)
-        d2 = compose(d, d, 2)
-        self.power = negative_power(d2, dim // 2, 2)
-        self.d_power = compose(d, self.power, 2)
-        self.chi = chirality(dim)
+        d = dirac_symbol(TorsionTensor.zero(dim), dim)
+        power = negative_power(compose(d, d, 2), dim // 2, 2)
+        # a diagonal block of the lead meets D |D|^{-n}, an off-diagonal one chi |D|^{-n}
+        self.d_power = sphere_average(compose(d, power, 2), dim)
+        self.chi_power = sphere_average(
+            compose(_zero_order_symbol(chirality(dim)), power, 2), dim)
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
                 o3: DoubledOneForm) -> ResidueValue:
@@ -241,14 +245,10 @@ class DoubledEvaluator:
         total = ResidueValue(QQi(), self.dim)
         # (P D_doubled)_{ii} = P_{ii} D + P_{i,other} chi Phi^{(*)}
         for i, phase in ((0, phi.conj()), (1, phi)):
-            diag = p[i][i]
-            if diag:
-                total = total + residue_of_symbol(
-                    compose(_zero_order_symbol(diag), self.d_power, 2), self.dim)
-            off = p[i][1 - i] * self.chi.scale(phase)
-            if off:
-                total = total + residue_of_symbol(
-                    compose(_zero_order_symbol(off), self.power, 2), self.dim)
+            for lead, averaged in ((p[i][i], self.d_power),
+                                   (p[i][1 - i].scale(phase), self.chi_power)):
+                if lead:
+                    total = total + lead_residue(lead, averaged)
         return total
 
 

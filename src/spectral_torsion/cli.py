@@ -160,6 +160,19 @@ def _one_form_from_config(arr, dim: int, name: str) -> OneForm:
     return OneForm(dim, comps)
 
 
+def _int_option(value, name: str, least: Optional[int] = None) -> int:
+    """An integer option from a flag or the config file, at least `least`."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if least is not None and n < least:
+        raise ConfigError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     filecfg: Dict[str, Any] = {}
     if getattr(args, "config", None):
@@ -186,11 +199,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.dims = _parse_dims(dims_raw)
     else:
         cfg.dims = _parse_dims(",".join(str(x) for x in dims_raw))
-    cfg.trials = int(pick("trials", "trials", 20))
-    cfg.seed = int(pick("seed", "seed", 1))
-    cfg.trunc_k = int(pick("K", "K", 6))
-    cfg.trunc_n = int(pick("N", "N", 2000))
-    cfg.q = float(pick("q", "q", 0.5))
+    cfg.trials = _int_option(pick("trials", "trials", 20), "trials", 1)
+    cfg.seed = _int_option(pick("seed", "seed", 1), "seed")
+    # N and N//2 must differ, or the truncation-convergence checks pass vacuously
+    cfg.trunc_k = _int_option(pick("K", "K", 6), "K", 0)
+    cfg.trunc_n = _int_option(pick("N", "N", 2000), "N", 2)
+    q_raw = pick("q", "q", 0.5)
+    try:
+        cfg.q = float(q_raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad q value {q_raw!r}") from exc
     if not (0 < cfg.q < 1):
         raise ConfigError(f"q must lie in (0,1), got {cfg.q}")
     phi_raw = pick("phi", "phi", "1")
@@ -198,11 +216,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.phi = parse_complex_rational(str(phi_raw))
     except ValueError as exc:
         raise ConfigError(f"bad phi value {phi_raw!r}") from exc
-    cfg.size = int(pick("size", "size", 2))
+    cfg.size = _int_option(pick("size", "size", 2), "size", 1)
     cfg.out = pick("out", "out", None)
     cfg.mask_timing = bool(getattr(args, "mask_timing", False))
-    if cfg.trials < 1:
-        raise ConfigError("trials must be positive")
 
     dim = cfg.dims[0]
     if "torsion" in filecfg:

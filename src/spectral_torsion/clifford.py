@@ -163,12 +163,6 @@ class Multivector:
             r.terms = {w: v for w, v in ((w, s * c) for w, c in self.terms.items()) if v}
         return r
 
-    def scale_coeff(self, a: object) -> "Multivector":
-        """Right-multiply every coefficient by a ring element."""
-        r = Multivector(self.dim)
-        r.terms = {w: v for w, v in ((w, c * a) for w, c in self.terms.items()) if v}
-        return r
-
     # queries ----------------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self.terms)

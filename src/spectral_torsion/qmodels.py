@@ -141,16 +141,8 @@ class TorusElement:
         return self.distance(self.adjoint()) <= tol
 
 
-def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
-    return a * b
-
-
 def torus_trace(a: TorusElement) -> complex:
     return a.trace()
-
-
-def torus_derive(a: TorusElement, j: int) -> TorusElement:
-    return a.derive(j)
 
 
 class FormalSeries:

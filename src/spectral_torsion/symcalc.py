@@ -100,12 +100,6 @@ class HomogeneousSymbol:
         out.terms = {k: v for k, v in ((k, mv.scale(s)) for k, mv in self.terms.items()) if v}
         return out
 
-    def at_x0(self) -> "HomogeneousSymbol":
-        """Evaluate the jet at the base point: drop x-linear terms."""
-        out = HomogeneousSymbol(self.dim, self.degree)
-        out.terms = {k: mv for k, mv in self.terms.items() if k[2] == 0}
-        return out
-
 
 def hs_mul(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymbol:
     """Pointwise product (the |alpha| = 0 part of composition)."""
@@ -186,10 +180,6 @@ def hs_is_zero(h: HomogeneousSymbol) -> bool:
         if poly:
             return False
     return True
-
-
-def hs_equal(a: HomogeneousSymbol, b: HomogeneousSymbol) -> bool:
-    return hs_is_zero(a - b)
 
 
 class SymbolSum:
@@ -457,9 +447,7 @@ class CurvatureJet:
 
     riemann maps (a,b,c,d) to exact rational R_{abcd}; entries not stored are
     zero.  Validated: antisymmetry in (a,b) and (c,d), pair symmetry, first
-    Bianchi identity.  ricci is the (1,3) contraction Ric_{cd} = sum_a R_{acad};
-    gamma_linear returns the normal-coordinate Christoffel jet
-    Gamma^a_{bc}(x) = -(1/3)(R_{abcd} + R_{acbd}) x^d.
+    Bianchi identity.  ricci is the (1,3) contraction Ric_{cd} = sum_a R_{acad}.
     """
 
     def __init__(self, dim: int, riemann: Mapping[Tuple[int, int, int, int], Fraction]):
@@ -496,9 +484,6 @@ class CurvatureJet:
 
     def ricci(self, c: int, d: int) -> Fraction:
         return sum((self.r(a, c, a, d) for a in range(1, self.dim + 1)), Fraction(0))
-
-    def gamma_linear(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return Fraction(-1, 3) * (self.r(a, b, c, d) + self.r(a, c, b, d))
 
     def spin_connection_linear(self) -> Dict[Tuple[int, int, int, int], Fraction]:
         """omega_{jkl}(x) = sum_s w[(j,k,l,s)] x_s, one standard normal-coordinate jet."""

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
 from .scalars import QQi, ScalarLike, qi
-from .symcalc import (HomogeneousSymbol, PiValue, SymbolSum, compose,
-                      negative_power, parametrix, sphere_integrate,
-                      sphere_volume, sqrt_symbol)
+from .symcalc import (HomogeneousSymbol, SymbolSum, compose, negative_power,
+                      parametrix, sphere_integrate, sphere_volume, sqrt_symbol)
 
 OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 
@@ -36,6 +35,20 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {x!r}")
 
 
+def _clean_entries(tensor, admissible: Callable[[int, int, int], bool], error: str) -> None:
+    """Validate a 3-tensor's keys, coerce its values to Fraction, drop zeros.
+
+    error is formatted with the offending key and the dimension."""
+    clean: Dict[Tuple[int, int, int], Fraction] = {}
+    for (i, j, k), v in tensor.entries.items():
+        if not admissible(i, j, k):
+            raise ValueError(error.format((i, j, k), tensor.dim))
+        v = _frac(v)
+        if v:
+            clean[(i, j, k)] = v
+    object.__setattr__(tensor, "entries", clean)
+
+
 @dataclass(frozen=True)
 class TorsionTensor:
     """Totally antisymmetric 3-tensor; entries stored on strictly increasing keys."""
@@ -44,14 +57,8 @@ class TorsionTensor:
     entries: Mapping[Tuple[int, int, int], Fraction]
 
     def __post_init__(self) -> None:
-        clean: Dict[Tuple[int, int, int], Fraction] = {}
-        for (a, b, c), v in self.entries.items():
-            if not (1 <= a < b < c <= self.dim):
-                raise ValueError(f"torsion key {(a, b, c)} not strictly increasing in 1..{self.dim}")
-            v = _frac(v)
-            if v:
-                clean[(a, b, c)] = v
-        object.__setattr__(self, "entries", clean)
+        _clean_entries(self, lambda a, b, c: 1 <= a < b < c <= self.dim,
+                       "torsion key {} not strictly increasing in 1..{}")
 
     @staticmethod
     def zero(dim: int) -> "TorsionTensor":
@@ -89,14 +96,9 @@ class ContorsionTensor:
     entries: Mapping[Tuple[int, int, int], Fraction]
 
     def __post_init__(self) -> None:
-        clean: Dict[Tuple[int, int, int], Fraction] = {}
-        for (i, j, k), v in self.entries.items():
-            if not all(1 <= x <= self.dim for x in (i, j, k)) or not j < k:
-                raise ValueError(f"contorsion key {(i, j, k)} must have 1 <= j < k <= {self.dim}")
-            v = _frac(v)
-            if v:
-                clean[(i, j, k)] = v
-        object.__setattr__(self, "entries", clean)
+        _clean_entries(self, lambda i, j, k: 1 <= min(i, j, k) and max(i, j, k) <= self.dim
+                       and j < k,
+                       "contorsion key {} must have 1 <= j < k <= {}")
 
     def get(self, i: int, j: int, k: int) -> Fraction:
         if j == k:
@@ -117,14 +119,9 @@ class FrameConnection:
     entries: Mapping[Tuple[int, int, int], Fraction]
 
     def __post_init__(self) -> None:
-        clean: Dict[Tuple[int, int, int], Fraction] = {}
-        for (i, j, k), v in self.entries.items():
-            if not all(1 <= x <= self.dim for x in (i, j, k)) or not i < j:
-                raise ValueError(f"structure key {(i, j, k)} must have 1 <= i < j <= {self.dim}")
-            v = _frac(v)
-            if v:
-                clean[(i, j, k)] = v
-        object.__setattr__(self, "entries", clean)
+        _clean_entries(self, lambda i, j, k: 1 <= min(i, j, k) and max(i, j, k) <= self.dim
+                       and i < j,
+                       "structure key {} must have 1 <= i < j <= {}")
 
     def get(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
@@ -134,18 +131,23 @@ class FrameConnection:
         return -self.entries.get((j, i, k), Fraction(0))
 
 
-def contorsion_from_torsion(t: TorsionTensor) -> ContorsionTensor:
-    """tau_{ijk} = (T_{ijk} + T_{kij} + T_{kji}) / 2."""
+def _half_cyclic_sum(x) -> ContorsionTensor:
+    """(x_{ijk} + x_{kij} + x_{kji}) / 2 for a 3-tensor x with .dim and .get."""
     entries: Dict[Tuple[int, int, int], Fraction] = {}
-    rng = range(1, t.dim + 1)
+    rng = range(1, x.dim + 1)
     for i in rng:
         for j in rng:
             for k in rng:
                 if j < k:
-                    v = (t.get(i, j, k) + t.get(k, i, j) + t.get(k, j, i)) / 2
+                    v = (x.get(i, j, k) + x.get(k, i, j) + x.get(k, j, i)) / 2
                     if v:
                         entries[(i, j, k)] = v
-    return ContorsionTensor(t.dim, entries)
+    return ContorsionTensor(x.dim, entries)
+
+
+def contorsion_from_torsion(t: TorsionTensor) -> ContorsionTensor:
+    """tau_{ijk} = (T_{ijk} + T_{kij} + T_{kji}) / 2."""
+    return _half_cyclic_sum(t)
 
 
 def torsion_components_from_contorsion(tau: ContorsionTensor) -> Dict[Tuple[int, int, int], Fraction]:
@@ -187,16 +189,7 @@ def torsion_from_contorsion(tau: ContorsionTensor) -> TorsionTensor:
 
 def levi_civita_from_structure(c: FrameConnection) -> ContorsionTensor:
     """Levi-Civita rotation coefficients omega_{ijk} = (c_{ijk} + c_{kij} + c_{kji}) / 2."""
-    entries: Dict[Tuple[int, int, int], Fraction] = {}
-    rng = range(1, c.dim + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if j < k:
-                    v = (c.get(i, j, k) + c.get(k, i, j) + c.get(k, j, i)) / 2
-                    if v:
-                        entries[(i, j, k)] = v
-    return ContorsionTensor(c.dim, entries)
+    return _half_cyclic_sum(c)
 
 
 @dataclass(frozen=True)
@@ -339,20 +332,48 @@ def _zero_order_symbol(mv: Multivector, budget: int = 2) -> SymbolSum:
                      budget) if mv else SymbolSum(mv.dim, {}, budget)
 
 
-def residue_of_symbol(sym: SymbolSum, dim: int) -> ResidueValue:
-    """Wodzicki residue density of an order >= -n symbol: integrate and trace
-    the degree -n component.  Rejects symbols whose tracked window misses -n."""
+def _residue_component(sym: SymbolSum, dim: int) -> HomogeneousSymbol:
+    """The degree -n component; rejects symbols whose tracked window misses -n."""
     if sym.parts:
         lead = sym.leading_degree
         if not (lead >= -dim > lead - sym.budget):
             raise ValueError(f"degree -{dim} component not tracked (leading {lead}, "
                              f"budget {sym.budget})")
-    comp = sym.component(-dim)
-    integrated = sphere_integrate(comp)
+    return sym.component(-dim)
+
+
+def residue_of_symbol(sym: SymbolSum, dim: int) -> ResidueValue:
+    """Wodzicki residue density of an order >= -n symbol: integrate and trace
+    the degree -n component.  Rejects symbols whose tracked window misses -n."""
+    integrated = sphere_integrate(_residue_component(sym, dim))
     mult = clifford_trace(integrated)
     if not isinstance(mult, QQi):
         raise TypeError("residue trace did not reduce to a scalar")
     return ResidueValue(mult, dim)
+
+
+def sphere_average(op: SymbolSum, dim: int) -> SymbolSum:
+    """The radial symbol A' ||xi||^{-n}, A' the sphere integral of op's degree -n part.
+
+    Its own sphere integral is A', so for every zero-order lead P that depends
+    on neither xi nor x, W(P op) = W(P A' ||xi||^{-n}): the degree -n part of
+    sigma(P op) is exactly P times that of op (the first-order correction needs
+    d_xi P = 0), and integration is linear.  Rejects op if its tracked window
+    misses -n.
+    """
+    avg = sphere_integrate(_residue_component(op, dim))
+    return SymbolSum(dim, {-dim: HomogeneousSymbol.radial(dim, -dim, avg)}, 2)
+
+
+def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
+    """W(P op) for a constant zero-order lead P, given averaged = sphere_average(op, n)."""
+    return residue_of_symbol(compose(_zero_order_symbol(lead), averaged, 2), averaged.dim)
+
+
+def _dirac_power(t: TorsionTensor, dim: int,
+                 omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
+    """Symbol of D_T |D_T|^{-n} to two leading degrees."""
+    return compose(dirac_symbol(t, dim, omega_jet), inverse_power_symbol(t, dim, omega_jet), 2)
 
 
 def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
@@ -362,11 +383,8 @@ def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
         raise ValueError("dimension mismatch among inputs")
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    lead = _zero_order_symbol(u.action() * v.action() * w.action())
-    d = dirac_symbol(t, dim, omega_jet)
-    pw = inverse_power_symbol(t, dim, omega_jet)
-    full = compose(lead, compose(d, pw, 2), 2)
-    return residue_of_symbol(full, dim)
+    return lead_residue(u.action() * v.action() * w.action(),
+                        sphere_average(_dirac_power(t, dim, omega_jet), dim))
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:
@@ -416,23 +434,14 @@ def chirality_functional(u: OneForm, t: TorsionTensor, dim: int = 4) -> ResidueV
         raise ValueError("chirality functional is defined for n = 4")
     if u.dim != 4 or t.dim != 4:
         raise ValueError("dimension mismatch among inputs")
-    lead = _zero_order_symbol(chirality(dim) * u.action())
-    d = dirac_symbol(t, dim)
-    pw = inverse_power_symbol(t, dim)
-    full = compose(lead, compose(d, pw, 2), 2)
-    return residue_of_symbol(full, dim)
+    return lead_residue(chirality(dim) * u.action(), sphere_average(_dirac_power(t, dim), dim))
 
 
 def spectral_closedness_check(p: Multivector, dim: int) -> ResidueValue:
     """W(P D |D|^{-n}) for a zero-order P and the torsion-free D; exactly 0."""
     if p.dim != dim:
         raise ValueError("dimension mismatch")
-    t0 = TorsionTensor.zero(dim)
-    lead = _zero_order_symbol(p)
-    d = dirac_symbol(t0, dim)
-    pw = inverse_power_symbol(t0, dim)
-    full = compose(lead, compose(d, pw, 2), 2)
-    return residue_of_symbol(full, dim)
+    return lead_residue(p, sphere_average(_dirac_power(TorsionTensor.zero(dim), dim), dim))
 
 
 def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
@@ -441,15 +450,13 @@ def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
         raise ValueError("metric functional requires even dimension")
     if u.dim != dim or v.dim != dim:
         raise ValueError("dimension mismatch among inputs")
-    lead = _zero_order_symbol(u.action() * v.action())
     pw = inverse_power_symbol(TorsionTensor.zero(dim), dim)
-    return residue_of_symbol(compose(lead, pw, 2), dim)
+    return lead_residue(u.action() * v.action(), sphere_average(pw, dim))
 
 
 def volume_functional(f: ScalarLike, dim: int) -> ResidueValue:
     """W(f D^{-n}) for even n and a scalar f: equals 2^m V(S^{n-1}) f."""
     if dim % 2:
         raise ValueError("volume functional requires even dimension")
-    lead = _zero_order_symbol(Multivector.scalar(dim, QQi.coerce(f)))
     pw = inverse_power_symbol(TorsionTensor.zero(dim), dim)
-    return residue_of_symbol(compose(lead, pw, 2), dim)
+    return lead_residue(Multivector.scalar(dim, QQi.coerce(f)), sphere_average(pw, dim))

@@ -6,16 +6,21 @@ from random import Random
 import pytest
 
 from spectral_torsion import (DoubledEvaluator, DoubledOneForm, EymModel,
-                              MatrixOneForm, MatrixQQ, OneForm, ResidueValue,
-                              adjoint_matrix, adjoint_trace, doubled_residue,
-                              doubled_spanning_forms, doubled_torsion_free_test,
-                              eym_torsion_density, left_mult_matrix,
-                              metric_functional, qi, sphere_integrate,
-                              volume_functional)
-from spectral_torsion.almostcommutative import eym_sigma_component
+                              MatrixOneForm, MatrixQQ, Multivector, OneForm,
+                              ResidueValue, adjoint_matrix, adjoint_trace,
+                              doubled_residue, doubled_spanning_forms,
+                              doubled_torsion_free_test, eym_torsion_density,
+                              left_mult_matrix, metric_functional, qi,
+                              sphere_integrate, volume_functional)
+from spectral_torsion.almostcommutative import (eym_dirac_symbol,
+                                                eym_sigma_component)
+from spectral_torsion.clifford import chirality
 from spectral_torsion.sampling import (random_anti_hermitian_traceless,
                                        random_one_form, random_qqi)
-from spectral_torsion.symcalc import hs_is_zero
+from spectral_torsion.symcalc import compose, hs_is_zero, negative_power
+from spectral_torsion.torsion import (TorsionTensor, _zero_order_symbol,
+                                      dirac_symbol, lead_residue,
+                                      residue_of_symbol, sphere_average)
 
 
 def _random_matrix(rng: Random, size: int) -> MatrixQQ:
@@ -112,6 +117,18 @@ class TestEymModel:
         assert not hs_is_zero(comp)
         assert not sphere_integrate(comp)
 
+    def test_shared_path_matches_composed_reference(self):
+        rng = Random(23)
+        dim, size = 2, 2
+        model = self._model(rng, dim, size)
+        u, v, w = self._forms(rng, dim, size)
+        d = eym_dirac_symbol(model)
+        op = compose(d, negative_power(compose(d, d, 2), dim // 2, 2), 2)
+        lead = u.action() * v.action() * w.action()
+        want = residue_of_symbol(compose(_zero_order_symbol(lead), op, 2), dim)
+        assert lead_residue(lead, sphere_average(op, dim)) == want
+        assert eym_torsion_density(model, u, v, w) == want
+
     def test_flat_gauge_gives_zero_component(self):
         # with X_a = 0 there is no degree -n symbol at all
         dim, size = 2, 2
@@ -182,6 +199,34 @@ class TestDoubled:
         got = ev.residue(mixed, a, b)
         split = ev.residue(d, a, b) + ev.residue(o, a, b)
         assert got == split
+
+    def test_scan_row_matches_composed_reference(self):
+        # one n=4 scan row, each residue against the block leads composed with
+        # the full base symbols: (P D_doubled)_{ii} = P_ii D + P_{i,other} chi Phi^(*)
+        dim = 4
+        phi = qi(1, 2)
+        span = doubled_spanning_forms(dim, phi)
+        d = dirac_symbol(TorsionTensor.zero(dim), dim)
+        power = negative_power(compose(d, d, 2), dim // 2, 2)
+        d_power = compose(d, power, 2)
+        chi = chirality(dim)
+        ev = DoubledEvaluator(dim)
+        o1 = span[-2]
+        nonzero = 0
+        for o2 in span:
+            for o3 in span:
+                b1, b2, b3 = o1.blocks(), o2.blocks(), o3.blocks()
+                p = [[sum((b1[i][k] * b2[k][l] * b3[l][j] for k in (0, 1) for l in (0, 1)),
+                          Multivector(dim)) for j in (0, 1)] for i in (0, 1)]
+                want = ResidueValue(qi(0), dim)
+                for i, phase in ((0, phi.conj()), (1, phi)):
+                    want = want + residue_of_symbol(
+                        compose(_zero_order_symbol(p[i][i]), d_power, 2), dim)
+                    want = want + residue_of_symbol(compose(
+                        _zero_order_symbol(p[i][1 - i] * chi.scale(phase)), power, 2), dim)
+                assert ev.residue(o1, o2, o3) == want
+                nonzero += not want.is_zero()
+        assert nonzero
 
     def test_phi_mismatch_rejected(self):
         dim = 2

@@ -180,6 +180,53 @@ class TestExamples:
         assert "q must lie in (0,1)" in err
 
 
+class TestInputHardening:
+    """Bad numeric options are usage errors (exit 2), never a traceback or a vacuous pass."""
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_eym_size_below_one_rejected(self, capsys, size):
+        rc, out, err = run(capsys, "examples", "eym", "--size", size)
+        assert rc == 2
+        assert f"size must be >= 1, got {size}" in err
+        assert out == ""
+
+    def test_non_integer_trials_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "abc"}))
+        rc, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert "trials must be an integer, got 'abc'" in err
+        assert out == ""
+
+    def test_non_numeric_q_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": "abc"}))
+        rc, out, err = run(capsys, "examples", "suq2", "--config", str(cfg))
+        assert rc == 2
+        assert "bad q value 'abc'" in err
+        assert out == ""
+
+    def test_suq2_n_zero_rejected(self, capsys):
+        # N and N//2 coincide at 0, so the convergence check compared N with itself
+        rc, out, err = run(capsys, "examples", "suq2", "--N", "0")
+        assert rc == 2
+        assert "N must be >= 2, got 0" in err
+        assert out == ""
+
+    def test_suq2_negative_n_rejected(self, capsys):
+        rc, out, err = run(capsys, "examples", "suq2", "--N", "-5")
+        assert rc == 2
+        assert "N must be >= 2, got -5" in err
+        assert out == ""
+
+    def test_nctorus_negative_k_rejected(self, capsys):
+        # K = -1 left the series empty, so every residual read 0
+        rc, out, err = run(capsys, "examples", "nctorus", "--K", "-1")
+        assert rc == 2
+        assert "K must be >= 0, got -1" in err
+        assert out == ""
+
+
 class TestReportPlumbing:
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -16,7 +16,11 @@ from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
                               trace_power, volume_functional)
 from spectral_torsion.sampling import (random_contorsion, random_one_form,
                                        random_torsion)
-from spectral_torsion.torsion import torsion_components_from_contorsion
+from spectral_torsion.symcalc import compose
+from spectral_torsion.torsion import (_zero_order_symbol, dirac_symbol,
+                                      inverse_power_symbol, lead_residue,
+                                      residue_of_symbol, sphere_average,
+                                      torsion_components_from_contorsion)
 
 from oracle import perturbation_residue
 
@@ -114,7 +118,7 @@ class TestPipeline:
         assert val == ResidueValue(qi(0, -6), 3)
         assert val.pi_form() == (qi(0, -24), 1)
 
-    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_contraction_form(self, dim):
         # the calculus always lands on coefficient * contraction * V
         rng = Random(100 + dim)
@@ -161,6 +165,8 @@ class TestPipeline:
         assert pipeline_coefficient(4) == qi(0, -6)
         assert pipeline_coefficient(5) == qi(0, -12)
         assert pipeline_coefficient(6) == qi(0, -12)
+        assert pipeline_coefficient(7) == qi(0, -24)
+        assert pipeline_coefficient(8) == qi(0, -24)
 
     def test_vanishes_without_torsion(self):
         rng = Random(44)
@@ -219,6 +225,33 @@ class TestPipeline:
         u3 = OneForm.frame(3, 1)
         with pytest.raises(ValueError):
             torsion_functional(u3, u3, u3, t, 4)
+
+
+class TestSharedResiduePath:
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_matches_composed_reference(self, dim):
+        # averaging the operator first must give exactly the residue of the
+        # lead composed with the full operator symbol
+        rng = Random(300 + dim)
+        for _ in range(2 if dim <= 6 else 1):
+            t = random_torsion(rng, dim, sparsity=1.0)
+            u, v, w = (random_one_form(rng, dim) for _ in range(3))
+            op = compose(dirac_symbol(t, dim), inverse_power_symbol(t, dim), 2)
+            lead = u.action() * v.action() * w.action()
+            want = residue_of_symbol(compose(_zero_order_symbol(lead), op, 2), dim)
+            assert not want.is_zero()
+            assert lead_residue(lead, sphere_average(op, dim)) == want
+            assert torsion_functional(u, v, w, t, dim) == want
+
+    def test_window_missing_minus_n_rejected(self):
+        # D_T alone tracks degrees 1 and 0, so degree -4 is outside its window
+        dim = 4
+        op = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
+        message = r"degree -4 component not tracked \(leading 1, budget 2\)"
+        with pytest.raises(ValueError, match=message):
+            sphere_average(op, dim)
+        with pytest.raises(ValueError, match=message):
+            residue_of_symbol(op, dim)
 
 
 def _epsilon(perm) -> int:
