@@ -1,0 +1,77 @@
+"""Golden corpus: exact outputs frozen in tests/golden/corpus.json, recomputed here.
+
+Each case holds its inputs inline (see tests/golden/build_corpus.py for how they
+were drawn), so a refactor of the exact layers must reproduce every value and
+its CLI rendering bit for bit.
+"""
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from spectral_torsion.almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
+                                                doubled_residue, eym_torsion_density)
+from spectral_torsion.cli import scalar_json
+from spectral_torsion.matrices import MatrixQQ
+from spectral_torsion.scalars import QQi
+from spectral_torsion.torsion import (OneForm, TorsionTensor, chirality_functional,
+                                      metric_functional, torsion_functional,
+                                      volume_functional)
+
+CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())["cases"]
+
+
+def rat(pair) -> Fraction:
+    return Fraction(*pair)
+
+
+def gauss(d) -> QQi:
+    return QQi(rat(d["re"]), rat(d["im"]))
+
+
+def form(dim: int, comps) -> OneForm:
+    return OneForm(dim, tuple(gauss(c) for c in comps))
+
+
+def matrix(rows) -> MatrixQQ:
+    return MatrixQQ(tuple(tuple(gauss(x) for x in r) for r in rows))
+
+
+def tensor(dim: int, entries) -> TorsionTensor:
+    return TorsionTensor(dim, {tuple(k): rat(v) for k, v in entries})
+
+
+def evaluate(case):
+    kind, dim = case["kind"], case["dim"]
+    if kind == "torsion":
+        jet = {tuple(k): rat(v) for k, v in case["jet"]} if "jet" in case else None
+        return torsion_functional(form(dim, case["u"]), form(dim, case["v"]),
+                                  form(dim, case["w"]), tensor(dim, case["torsion"]), dim, jet)
+    if kind == "chirality":
+        return chirality_functional(form(dim, case["u"]), tensor(dim, case["torsion"]), dim)
+    if kind == "metric":
+        return metric_functional(form(dim, case["u"]), form(dim, case["v"]), dim)
+    if kind == "volume":
+        return volume_functional(gauss(case["f"]), dim)
+    if kind == "doubled":
+        phi = gauss(case["phi"])
+        return doubled_residue(*(DoubledOneForm(dim, form(dim, f["wplus"]), form(dim, f["wminus"]),
+                                                gauss(f["fplus"]), gauss(f["fminus"]), phi)
+                                 for f in case["forms"]))
+    if kind == "eym":
+        model = EymModel(dim, case["size"], tuple(matrix(x) for x in case["gauge"]))
+        return eym_torsion_density(model, *(MatrixOneForm(dim, tuple(matrix(x) for x in c))
+                                            for c in case["forms"]))
+    raise AssertionError(f"unknown corpus kind {kind!r}")
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda c: f"{c['kind']}-n{c['dim']}")
+def test_corpus_value_is_reproduced_exactly(case):
+    got = evaluate(case)
+    want = case["value"]
+    assert (got.dim, got.vpow) == (case["dim"], want["vpow"])
+    assert (got.mult.re, got.mult.im) == (rat(want["mult"]["re"]), rat(want["mult"]["im"]))
+    assert scalar_json(got) == want["json"]
