@@ -16,7 +16,7 @@ parity pattern is handled uniformly and routes to the torsion-free pipeline
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .clifford import Multivector, chirality
@@ -187,6 +187,8 @@ class DoubledOneForm:
     fplus: QQi
     fminus: QQi
     phi: QQi
+    _blocks: Tuple[Tuple[Multivector, Multivector], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim % 2 or self.dim < 2:
@@ -195,6 +197,11 @@ class DoubledOneForm:
             raise ValueError("one-form dimension mismatch")
         for name in ("fplus", "fminus", "phi"):
             object.__setattr__(self, name, QQi.coerce(getattr(self, name)))
+        # built once: a doubled scan reads each form's blocks in every triple holding it
+        chi = chirality(self.dim)
+        object.__setattr__(self, "_blocks", (
+            (self.wplus.action(), chi.scale(self.phi * self.fplus)),
+            (chi.scale(self.phi.conj() * self.fminus), self.wminus.action())))
 
     @staticmethod
     def diagonal(wplus: OneForm, wminus: OneForm, phi: ScalarLike) -> "DoubledOneForm":
@@ -208,12 +215,8 @@ class DoubledOneForm:
         return DoubledOneForm(dim, zero, zero, QQi.coerce(fplus), QQi.coerce(fminus),
                               QQi.coerce(phi))
 
-    def blocks(self) -> List[List[Multivector]]:
-        chi = chirality(self.dim)
-        return [
-            [self.wplus.action(), chi.scale(self.phi * self.fplus)],
-            [chi.scale(self.phi.conj() * self.fminus), self.wminus.action()],
-        ]
+    def blocks(self) -> Tuple[Tuple[Multivector, Multivector], ...]:
+        return self._blocks
 
 
 class DoubledEvaluator:

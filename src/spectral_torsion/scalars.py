@@ -6,9 +6,9 @@ renderings and in the quantum-model module, never inside the symbol calculus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, inf
+from typing import Optional, Union
 
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QQi"]
@@ -22,76 +22,156 @@ def _frac(x: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
+def _float(n: int, d: int) -> float:
+    """n/d correctly rounded, saturating to +-inf where it exceeds the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 class QQi:
-    """Gaussian rational re + im*i with exact Fraction parts."""
+    """Gaussian rational re + im*i, held fraction-free as (a + b*i)/d.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    a, b and d are Python ints with d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal fields and `==` and `hash` are exact.  Arithmetic works on the
+    ints; Fractions appear only at construction and when re, im or abs2() are
+    read.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RatLike = 0, im: RatLike = 0) -> None:
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _frac(re), _frac(im)
+            p, q = re.denominator, im.denominator
+            # over d = lcm(p, q) the three ints are already coprime: a prime
+            # dividing d divides the one of p, q in which it has the higher
+            # power, and that numerator is coprime to it and not multiplied up
+            g = gcd(p, q)
+            a, b, d = re.numerator * (q // g), im.numerator * (p // g), p // g * q
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QQi is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QQi is immutable; cannot delete {name!r}")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x: ScalarLike) -> "QQi":
-        if isinstance(x, QQi):
+        if type(x) is QQi:
             return x
-        return QQi(_frac(x))
+        o = _operand(x)
+        if o is None:
+            raise TypeError(f"not an exact rational: {x!r}")
+        return o
 
     def __add__(self, other: ScalarLike) -> "QQi":
-        o = QQi.coerce(other)
-        return QQi(self.re + o.re, self.im + o.im)
+        if type(other) is not QQi:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            a, b = self._a + other._a, self._b + other._b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            g = gcd(d, e)
+            s, t = e // g, d // g
+            a, b, d = self._a * s + other._a * t, self._b * s + other._b * t, d * s
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
+    # a difference is one addition of the negation, so an operation count sees one add
     def __sub__(self, other: ScalarLike) -> "QQi":
-        return self + (-QQi.coerce(other))
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other: ScalarLike) -> "QQi":
-        return QQi.coerce(other) + (-self)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            o = QQi.coerce(other)
-            return QQi(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
-        return NotImplemented
+        if type(other) is not QQi:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if b:
+            if e:
+                return _reduced(a * c - b * e, a * e + b * c, d)
+            return _reduced(a * c, b * c, d)
+        return _reduced(a * c, a * e, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "QQi":
-        o = QQi.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        c, e = o._a, o._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, f = self._a, self._b, o._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "QQi":
-        return QQi.coerce(other) / self
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, QQi)):
-            o = QQi.coerce(other)
-            return self.re == o.re and self.im == o.im
+        if type(other) is QQi:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._d == 1 and not self._b and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
+
+    def __reduce__(self):
+        return (_make, (self._a, self._b, self._d))
 
     def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def trace(self) -> "QQi":
         # Scalars are their own trace; lets Multivector coefficients be traced
@@ -99,27 +179,59 @@ class QQi:
         return self
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        """Nearest complex float; a part beyond the float range becomes +-inf."""
+        return complex(_float(self._a, self._d), _float(self._b, self._d))
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def __repr__(self) -> str:
         return f"QQi({self.re!s}, {self.im!s})"
 
 
-ZERO = QQi()
-ONE = QQi(Fraction(1))
-I = QQi(Fraction(0), Fraction(1))
+_set_a, _set_b, _set_d = QQi._a.__set__, QQi._b.__set__, QQi._d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> QQi:
+    """A QQi from ints already in canonical form, skipping __init__'s coercion."""
+    z = _new(QQi)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _operand(x) -> Optional[QQi]:
+    """x as a QQi when it is an exact scalar, else None.
+
+    The exact-type test comes first: isinstance against Fraction goes through
+    the numbers ABCs and costs several times more."""
+    if type(x) is QQi:
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
+    return None
 
 
 def qi(re: RatLike = 0, im: RatLike = 0) -> QQi:
-    return QQi(_frac(re), _frac(im))
+    return QQi(re, im)
 
 
 def parse_rational(text: str) -> Fraction:

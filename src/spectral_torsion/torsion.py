@@ -254,7 +254,10 @@ class ResidueValue:
     def to_complex(self) -> complex:
         from math import pi
         coeff, pipow = self.pi_form()
-        return coeff.to_complex() * pi ** pipow
+        # scale each part on its own: a complex product would form inf * 0 = nan
+        # from a part that saturated to inf
+        z, scale = coeff.to_complex(), pi ** pipow
+        return complex(z.real * scale, z.imag * scale)
 
     def __str__(self) -> str:
         coeff, pipow = self.pi_form()

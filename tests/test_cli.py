@@ -226,6 +226,39 @@ class TestInputHardening:
         assert "K must be >= 0, got -1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_nctorus_k_below_two_rejected(self, capsys, k):
+        # t-orders 0 and 1 vanish for every h, so K = 0 or 1 checked nothing
+        rc, out, err = run(capsys, "examples", "nctorus", "--K", k)
+        assert rc == 2
+        assert f"K must be >= 2 (orders 0 and 1 vanish for every h), got {k}" in err
+        assert out == ""
+
+    def test_suq2_unconverged_truncation_is_a_failed_check(self, capsys):
+        rc, out, err = run(capsys, "examples", "suq2", "--N", "2", "--mask-timing")
+        assert rc == 1
+        assert "Traceback" not in err
+        rep = json.loads(out)
+        failed = [c for c in rep["checks"] if not c["pass"]]
+        assert failed and rep["counts"]["failed"] == len(failed)
+        assert all("tau0 truncations at N=2 and N=1 differ" in c["note"] for c in failed)
+
+    def test_huge_torsion_value_keeps_exact_parts(self, tmp_path, capsys):
+        # 1e400 exceeds the float range: the rendering saturates, the exact parts stay
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3],
+            "torsion": [{"indices": [1, 2, 3], "value": "1e400"}],
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, rep, err = run_json(capsys, "eval", "--config", cfg, "--mask-timing")
+        assert rc == 0
+        assert err == ""
+        computed = rep["checks"][0]["computed"]
+        assert computed["re"] == [0, 1]
+        assert computed["im"] == [-24 * 10 ** 400, 1]
+        assert computed["piPow"] == 1
+        assert computed["numeric"] == "-infi"
+        assert "nan" not in computed["display"]
+
 
 class TestReportPlumbing:
     def test_out_file_matches_stdout(self, tmp_path, capsys):
