@@ -2,7 +2,8 @@
 
 Each case holds its inputs inline (see tests/golden/build_corpus.py for how they
 were drawn), so a refactor of the exact layers must reproduce every value and
-its CLI rendering bit for bit.
+its CLI rendering bit for bit.  Four masked CLI reports, frozen under
+tests/golden/reports, must likewise come back byte for byte.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 
 from spectral_torsion.almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
                                                 doubled_residue, eym_torsion_density)
-from spectral_torsion.cli import scalar_json
+from spectral_torsion.cli import main, scalar_json
 from spectral_torsion.matrices import MatrixQQ
 from spectral_torsion.scalars import QQi
 from spectral_torsion.torsion import (OneForm, TorsionTensor, chirality_functional,
@@ -75,3 +76,21 @@ def test_corpus_value_is_reproduced_exactly(case):
     assert (got.dim, got.vpow) == (case["dim"], want["vpow"])
     assert (got.mult.re, got.mult.im) == (rat(want["mult"]["re"]), rat(want["mult"]["im"]))
     assert scalar_json(got) == want["json"]
+
+
+REPORTS = Path(__file__).parent / "golden" / "reports"
+MASKED_REPORTS = {
+    "eval-frame.json": ["eval", "--config", str(REPORTS / "eval-frame.config.json")],
+    "verify-3-4-5.json": ["verify", "--dims", "3,4,5", "--trials", "5", "--seed", "1"],
+    "doubled-4.json": ["examples", "doubled", "--dims", "4", "--phi", "1+2i"],
+    "eym-2.json": ["examples", "eym", "--dims", "2", "--size", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKED_REPORTS))
+def test_masked_report_is_reproduced_byte_for_byte(name, capsys):
+    """The four frozen reports under tests/golden/reports, rerun with --mask-timing."""
+    code = main(MASKED_REPORTS[name] + ["--mask-timing"])
+    want = (REPORTS / name).read_text()
+    assert code == (0 if json.loads(want)["pass"] else 1)
+    assert capsys.readouterr().out == want
