@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Tuple
 from .clifford import Multivector, chirality
 from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
-from .symcalc import HomogeneousSymbol, SymbolSum, compose, negative_power
+from .symcalc import HomogeneousSymbol, SymbolSum, compose
 from .torsion import (OneForm, ResidueValue, TorsionTensor, _zero_order_symbol,
-                      dirac_symbol, lead_residue, sphere_average)
+                      dirac_symbol, inverse_power_symbol, lead_residue,
+                      sphere_average)
 
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
@@ -156,7 +157,7 @@ def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
 def _eym_operator(model: EymModel) -> SymbolSum:
     """Symbol of D~ |D~|^{-n} to two leading degrees."""
     d = eym_dirac_symbol(model)
-    return compose(d, negative_power(compose(d, d, 2), model.dim // 2, 2), 2)
+    return compose(d, inverse_power_symbol(d), 2)
 
 
 def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
@@ -227,7 +228,7 @@ class DoubledEvaluator:
             raise ValueError("even base dimension required")
         self.dim = dim
         d = dirac_symbol(TorsionTensor.zero(dim), dim)
-        power = negative_power(compose(d, d, 2), dim // 2, 2)
+        power = inverse_power_symbol(d)
         # a diagonal block of the lead meets D |D|^{-n}, an off-diagonal one chi |D|^{-n}
         self.d_power = sphere_average(compose(d, power, 2), dim)
         self.chi_power = sphere_average(

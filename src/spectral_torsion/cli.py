@@ -7,7 +7,7 @@ byte-identical report except for the timestamp and per-check elapsed fields
 (which --mask-timing zeroes out).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
-or usage error.
+or usage error, 3 internal error (one stderr line, no traceback).
 """
 from __future__ import annotations
 
@@ -222,6 +222,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"bad phi value {phi_raw!r}") from exc
     cfg.size = _int_option(pick("size", "size", 2), "size", 1)
     cfg.out = pick("out", "out", None)
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        # open() would take an int or bool as a file descriptor
+        raise ConfigError(f"out must be a file name, got {cfg.out!r}")
     cfg.mask_timing = bool(getattr(args, "mask_timing", False))
 
     dim = cfg.dims[0]
@@ -513,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         if cfg.command == "verify":
@@ -523,19 +525,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_eval(cfg)
         else:
             report = cmd_examples(cfg)
+        text = json.dumps(report, indent=2)
+        print(text)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}") from exc
+        return 0 if report["pass"] else 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2)
-    print(text)
-    if cfg.out:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
-    return 0 if report["pass"] else 1
+    except Exception as exc:
+        # a crash must not read as a failed check (1) or as bad input (2)
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -160,6 +160,9 @@ class QQi:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if not self._b:
+            # equal to an int or Fraction, so it must hash like one
+            return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __reduce__(self):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
@@ -268,13 +267,9 @@ class ResidueValue:
 # Dirac symbol and the residue pipeline --------------------------------------
 
 def torsion_form_multivector(t: TorsionTensor) -> Multivector:
-    """sum_{jkl} T_{jkl} g^j g^k g^l as a canonical multivector."""
-    out = Multivector(t.dim)
-    for (a, b, c) in t.entries:
-        for p in permutations((a, b, c)):
-            out = out + (Multivector.gamma(t.dim, p[0]) * Multivector.gamma(t.dim, p[1])
-                         * Multivector.gamma(t.dim, p[2])).scale(t.get(*p))
-    return out
+    """sum_{jkl} T_{jkl} g^j g^k g^l = sum_{a<b<c} 6 T_abc g^abc as a canonical multivector:
+    T is totally antisymmetric and distinct gammas anticommute, so all six orderings agree."""
+    return Multivector(t.dim, {abc: QQi(6 * v) for abc, v in t.entries.items()})
 
 
 def dirac_symbol(t: TorsionTensor, dim: int,
@@ -312,22 +307,20 @@ def dirac_symbol(t: TorsionTensor, dim: int,
     return SymbolSum(dim, parts, budget=2)
 
 
-def inverse_power_symbol(t: TorsionTensor, dim: int,
-                         omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
-    """Symbol of |D_T|^{-n} to two leading degrees.
+def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
+    """Symbol of |D|^{-n} to two leading degrees, from the symbol d of D; n = d.dim.
 
-    Even n: the (n/2)-fold composed parametrix of D_T^2.  Odd n: the
-    ((n-1)/2)-power composed with the parametrix of sqrt(D_T^2).
+    Even n: the (n/2)-fold composed parametrix of D^2.  Odd n: the
+    ((n-1)/2)-power composed with the parametrix of sqrt(D^2).
     """
-    d = dirac_symbol(t, dim, omega_jet)
+    dim = d.dim
     d2 = compose(d, d, 2)
     if dim % 2 == 0:
         return negative_power(d2, dim // 2, 2)
-    half = negative_power(d2, (dim - 1) // 2, 2) if dim > 1 else None
     inv_sqrt = parametrix(sqrt_symbol(d2, 2), 2)
-    if half is None:
+    if dim == 1:
         return inv_sqrt
-    return compose(half, inv_sqrt, 2)
+    return compose(negative_power(d2, (dim - 1) // 2, 2), inv_sqrt, 2)
 
 
 def _zero_order_symbol(mv: Multivector, budget: int = 2) -> SymbolSum:
@@ -376,7 +369,8 @@ def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
 def _dirac_power(t: TorsionTensor, dim: int,
                  omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
     """Symbol of D_T |D_T|^{-n} to two leading degrees."""
-    return compose(dirac_symbol(t, dim, omega_jet), inverse_power_symbol(t, dim, omega_jet), 2)
+    d = dirac_symbol(t, dim, omega_jet)
+    return compose(d, inverse_power_symbol(d), 2)
 
 
 def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
@@ -391,21 +385,16 @@ def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:
-    """sum_{abc} u_a v_b w_c T_{abc}, exact."""
+    """sum_{abc} u_a v_b w_c T_{abc}, exact: by total antisymmetry, the sum over the
+    stored a < b < c of T_abc times the 3x3 minor of (u, v, w) on rows a, b, c."""
     out = QQi()
-    rng = range(1, t.dim + 1)
-    for a in rng:
-        ua = u.components[a - 1]
-        if not ua:
-            continue
-        for b in rng:
-            vb = v.components[b - 1]
-            if not vb:
-                continue
-            for c in rng:
-                wc = w.components[c - 1]
-                if wc:
-                    out = out + ua * vb * wc * t.get(a, b, c)
+    for (a, b, c), tv in t.entries.items():
+        ua, ub, uc = (u.components[i - 1] for i in (a, b, c))
+        va, vb, vc = (v.components[i - 1] for i in (a, b, c))
+        wa, wb, wc = (w.components[i - 1] for i in (a, b, c))
+        minor = (ua * (vb * wc - vc * wb) - ub * (va * wc - vc * wa)
+                 + uc * (va * wb - vb * wa))
+        out = out + minor * tv
     return out
 
 
@@ -453,7 +442,7 @@ def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
         raise ValueError("metric functional requires even dimension")
     if u.dim != dim or v.dim != dim:
         raise ValueError("dimension mismatch among inputs")
-    pw = inverse_power_symbol(TorsionTensor.zero(dim), dim)
+    pw = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
     return lead_residue(u.action() * v.action(), sphere_average(pw, dim))
 
 
@@ -461,5 +450,5 @@ def volume_functional(f: ScalarLike, dim: int) -> ResidueValue:
     """W(f D^{-n}) for even n and a scalar f: equals 2^m V(S^{n-1}) f."""
     if dim % 2:
         raise ValueError("volume functional requires even dimension")
-    pw = inverse_power_symbol(TorsionTensor.zero(dim), dim)
+    pw = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
     return lead_residue(Multivector.scalar(dim, QQi.coerce(f)), sphere_average(pw, dim))

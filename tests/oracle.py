@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from spectral_torsion import (MatrixQQ, Multivector, OneForm, QQi,
                               ResidueValue, TorsionTensor, clifford_trace, qi)
-from spectral_torsion.torsion import torsion_form_multivector
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -68,6 +68,16 @@ def matrix_trace(mv: Multivector) -> QQi:
     return multivector_matrix(mv).trace()
 
 
+def torsion_cube(t: TorsionTensor) -> Multivector:
+    """sum_{jkl} T_jkl g^j g^k g^l, one gamma triple product per ordered triple."""
+    out = Multivector(t.dim)
+    for (a, b, c) in t.entries:
+        for p in permutations((a, b, c)):
+            out = out + (Multivector.gamma(t.dim, p[0]) * Multivector.gamma(t.dim, p[1])
+                         * Multivector.gamma(t.dim, p[2])).scale(t.get(*p))
+    return out
+
+
 def perturbation_residue(u: OneForm, v: OneForm, w: OneForm,
                          t: TorsionTensor, dim: int) -> ResidueValue:
     """First-order-in-T residue from the explicit symbol expansion.
@@ -79,7 +89,7 @@ def perturbation_residue(u: OneForm, v: OneForm, w: OneForm,
         V * tr( -U Theta + (1/2) sum_a U g^a {g^a, Theta} ),
     Theta = (i/8) T_jkl g^j g^k g^l.  No parametrix or composition enters.
     """
-    theta = torsion_form_multivector(t).scale(qi(0, Fraction(1, 8)))
+    theta = torsion_cube(t).scale(qi(0, Fraction(1, 8)))
     big_u = u.action() * v.action() * w.action()
     acc = (big_u * theta).scale(qi(-1))
     for a in range(1, dim + 1):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import spectral_torsion.cli as cli
 from spectral_torsion.cli import format_complex, main, scalar_json
 from spectral_torsion.scalars import qi
 from spectral_torsion.torsion import ResidueValue
@@ -258,6 +259,28 @@ class TestInputHardening:
         assert computed["piPow"] == 1
         assert computed["numeric"] == "-infi"
         assert "nan" not in computed["display"]
+
+    @pytest.mark.parametrize("out", [1, True], ids=["int", "bool"])
+    def test_non_string_out_in_config_rejected(self, tmp_path, capsys, out):
+        # open() took 1 or True as file descriptor 1: two reports on stdout, exit 0
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "out": out,
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, stdout, err = run(capsys, "eval", "--config", cfg)
+        assert rc == 2
+        assert f"out must be a file name, got {out!r}" in err
+        assert stdout == ""
+
+    def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+        def crash(cfg):
+            raise RuntimeError("boom\non two lines")
+        monkeypatch.setattr(cli, "cmd_eval", crash)
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, stdout, err = run(capsys, "eval", "--config", cfg)
+        assert rc == 3
+        assert stdout == ""
+        assert err == "error: internal: RuntimeError: boom on two lines\n"
 
 
 class TestReportPlumbing:

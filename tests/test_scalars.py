@@ -128,14 +128,19 @@ class TestQQiAgainstFractionPairs:
         assert type(z.re) is Fraction and type(z.im) is Fraction
         assert (z.re, z.im) == (re, im)
 
-    @given(wide_scalars, wide_scalars)
+    @given(wide_scalars, wide_scalars, st.one_of(st.integers(-60, 60), wide))
     @settings(max_examples=60, deadline=None)
-    def test_equal_values_hash_equal(self, a, b):
+    def test_equal_values_hash_equal(self, a, b, r):
         # the same value reached by arithmetic and by the constructor
         z = (a + b) - b
         assert z == a
         assert hash(z) == hash(a)
         assert hash(QQi(a.re, a.im)) == hash(a)
+        # a real value hashes as the int or Fraction it equals, so sets merge them
+        x = (QQi(r) + b) - b
+        assert x == r
+        assert hash(x) == hash(r)
+        assert len({x, r}) == 1
 
     @given(wide_scalars, st.integers(-60, 60), wide)
     @settings(max_examples=60, deadline=None)

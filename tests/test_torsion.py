@@ -15,14 +15,15 @@ from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
                               torsion_from_contorsion, torsion_functional,
                               trace_power, volume_functional)
 from spectral_torsion.sampling import (random_contorsion, random_one_form,
-                                       random_torsion)
+                                       random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose
 from spectral_torsion.torsion import (_zero_order_symbol, dirac_symbol,
                                       inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
-                                      torsion_components_from_contorsion)
+                                      torsion_components_from_contorsion,
+                                      torsion_form_multivector)
 
-from oracle import perturbation_residue
+from oracle import perturbation_residue, torsion_cube
 
 
 def frame_triple(dim):
@@ -236,7 +237,8 @@ class TestSharedResiduePath:
         for _ in range(2 if dim <= 6 else 1):
             t = random_torsion(rng, dim, sparsity=1.0)
             u, v, w = (random_one_form(rng, dim) for _ in range(3))
-            op = compose(dirac_symbol(t, dim), inverse_power_symbol(t, dim), 2)
+            d = dirac_symbol(t, dim)
+            op = compose(d, inverse_power_symbol(d), 2)
             lead = u.action() * v.action() * w.action()
             want = residue_of_symbol(compose(_zero_order_symbol(lead), op, 2), dim)
             assert not want.is_zero()
@@ -252,6 +254,35 @@ class TestSharedResiduePath:
             sphere_average(op, dim)
         with pytest.raises(ValueError, match=message):
             residue_of_symbol(op, dim)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_torsion_cube_matches_oracle(self, dim):
+        # the closed form 6 T_abc g^abc against one triple product per ordering
+        t = random_torsion(Random(400 + dim), dim, sparsity=1.0)
+        assert t.entries
+        assert torsion_form_multivector(t) == torsion_cube(t)
+
+    @pytest.mark.parametrize("dim,sparsity", [(n, s) for n in range(3, 9) for s in (1.0, 0.5)]
+                             + [(10, 1.0)])
+    def test_contraction_matches_full_sum(self, dim, sparsity):
+        # the stored-entry minor sum against the n^3 sum over t.get
+        rng = Random(500 + dim + int(10 * sparsity))
+        seen_nonzero = False
+        for _ in range(1 if dim > 8 else 3):
+            t = random_torsion(rng, dim, sparsity=sparsity)
+            u, v, w = (OneForm(dim, tuple(random_qqi(rng) for _ in range(dim)))
+                       for _ in range(3))
+            want = qi(0)
+            for a in range(1, dim + 1):
+                for b in range(1, dim + 1):
+                    for c in range(1, dim + 1):
+                        want = want + (u.components[a - 1] * v.components[b - 1]
+                                       * w.components[c - 1] * t.get(a, b, c))
+            assert torsion_contraction(u, v, w, t) == want
+            seen_nonzero = seen_nonzero or bool(want)
+        assert seen_nonzero
 
 
 def _epsilon(perm) -> int:
