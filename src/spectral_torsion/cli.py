@@ -173,6 +173,9 @@ def _int_option(value, name: str, least: Optional[int] = None) -> int:
     return n
 
 
+_DEFAULT_DIMS = {"eval": (3,), "doubled": (4,), "nctorus": (2, 3)}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     filecfg: Dict[str, Any] = {}
     if getattr(args, "config", None):
@@ -194,11 +197,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     cfg.which = getattr(args, "which", None)
     dims_raw = pick("dims", "dims", None)
     if dims_raw is None:
-        cfg.dims = [2, 3] if cfg.which == "nctorus" else [3, 4]
+        cfg.dims = list(_DEFAULT_DIMS.get(cfg.which or cfg.command, (3, 4)))
     elif isinstance(dims_raw, str):
         cfg.dims = _parse_dims(dims_raw)
     else:
         cfg.dims = _parse_dims(",".join(str(x) for x in dims_raw))
+    # these two run at one n; the report echoes dims, so a longer list would
+    # claim runs that never happen
+    single = {"eval": "eval", "doubled": "examples doubled"}.get(cfg.which or cfg.command)
+    if single and len(cfg.dims) > 1:
+        raise ConfigError(f"{single} takes one dimension, got dims {cfg.dims}")
     cfg.trials = _int_option(pick("trials", "trials", 20), "trials", 1)
     cfg.seed = _int_option(pick("seed", "seed", 1), "seed")
     # N and N//2 must differ, or the truncation-convergence checks pass vacuously
@@ -376,7 +384,7 @@ def _examples_eym(cfg: RunConfig, rb: ReportBuilder) -> None:
 
 
 def _examples_doubled(cfg: RunConfig, rb: ReportBuilder) -> None:
-    dim = cfg.dims[0] if cfg.dims else 4
+    dim = cfg.dims[0]
     if dim % 2:
         raise ConfigError(f"doubled model needs even n, got {dim}")
     phi = cfg.phi

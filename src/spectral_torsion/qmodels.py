@@ -9,6 +9,10 @@ for an antisymmetric theta.  The canonical trace tau picks the p = 0
 coefficient and is tracial because p.theta.p = 0; derivations act by
 delta_j U^p = i p_j U^p.  The trace identity tau(k^alpha delta_j(k) k^beta) = 0
 holds order by order in t for k = exp(t h), which is how it is tested.
+Products are array operations: all Weyl phases of a list of element pairs at
+once, summed by output mode in one reduction.  The final product with
+k^beta is never formed; its trace is read as the pairing
+sum_p X[p] k^beta[-p].
 
 Quantum disc: generators z, z* with z* z = q^2 z z* + (1 - q^2), represented
 by the weighted shift pi(z) e_k = sqrt(1 - q^{2(k+1)}) e_{k+1}.  tau_1 is the
@@ -19,10 +23,8 @@ difference cancels against tau_1 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-import cmath
 import math
 
 import numpy as np
@@ -35,6 +37,7 @@ class ConvergenceError(RuntimeError):
 # noncommutative torus ---------------------------------------------------------
 
 Mode = Tuple[int, ...]
+_MODE_BOUND = 2 ** 31
 
 
 def antisymmetric_theta(entries) -> Tuple[Tuple[float, ...], ...]:
@@ -51,7 +54,11 @@ def antisymmetric_theta(entries) -> Tuple[Tuple[float, ...], ...]:
 
 
 class TorusElement:
-    """Finite combination sum_p c_p U^p on the n-torus with deformation theta."""
+    """Finite combination sum_p c_p U^p on the n-torus with deformation theta.
+
+    Mode components are Python ints below 2**31 in absolute value: products
+    add modes in 64-bit arrays, which this bound keeps from wrapping.
+    """
 
     __slots__ = ("theta", "coeffs")
 
@@ -61,11 +68,21 @@ class TorusElement:
         n = len(self.theta)
         if coeffs:
             for p, c in coeffs.items():
-                if len(p) != n or not all(isinstance(x, int) for x in p):
+                if len(p) != n or not all(isinstance(x, int) and abs(x) < _MODE_BOUND
+                                          for x in p):
                     raise ValueError(f"bad mode {p}")
                 c = complex(c)
                 if c != 0:
                     self.coeffs[tuple(p)] = c
+
+    @staticmethod
+    def _make(theta, coeffs: Dict[Mode, complex]) -> "TorusElement":
+        """An element from a checked theta and valid modes with nonzero
+        coefficients, skipping __init__'s validation."""
+        x = object.__new__(TorusElement)
+        x.theta = theta
+        x.coeffs = coeffs
+        return x
 
     @property
     def dim(self) -> int:
@@ -79,14 +96,6 @@ class TorusElement:
     def zero(theta) -> "TorusElement":
         return TorusElement(theta)
 
-    def _phase(self, p: Mode, q: Mode) -> complex:
-        s = 0.0
-        for i, pi_ in enumerate(p):
-            if pi_:
-                row = self.theta[i]
-                s += pi_ * sum(row[j] * qj for j, qj in enumerate(q) if qj)
-        return cmath.exp(-1j * math.pi * s)
-
     def __add__(self, other: "TorusElement") -> "TorusElement":
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
@@ -95,31 +104,23 @@ class TorusElement:
                 out[p] = v
             else:
                 out.pop(p, None)
-        return TorusElement(self.theta, out)
+        return TorusElement._make(self.theta, out)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + other.scale(-1)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
-        out: Dict[Mode, complex] = {}
-        for p, cp in self.coeffs.items():
-            for q, cq in other.coeffs.items():
-                r = tuple(a + b for a, b in zip(p, q))
-                v = out.get(r, 0) + cp * cq * self._phase(p, q)
-                if v:
-                    out[r] = v
-                else:
-                    out.pop(r, None)
-        return TorusElement(self.theta, out)
+        return _weyl_sum(self.theta, ((self, other),))
 
     def scale(self, s: complex) -> "TorusElement":
-        return TorusElement(self.theta, {p: s * c for p, c in self.coeffs.items()})
+        return TorusElement._make(self.theta, {p: v for p, c in self.coeffs.items()
+                                               if (v := s * c)})
 
     def adjoint(self) -> "TorusElement":
         # (U^p)* = U^{-p}: the Weyl phase exp(i pi p.theta.p) is 1 by antisymmetry
-        return TorusElement(self.theta,
-                            {tuple(-x for x in p): c.conjugate()
-                             for p, c in self.coeffs.items()})
+        return TorusElement._make(self.theta,
+                                  {tuple(-x for x in p): c.conjugate()
+                                   for p, c in self.coeffs.items()})
 
     def trace(self) -> complex:
         return self.coeffs.get((0,) * self.dim, 0j)
@@ -128,8 +129,9 @@ class TorusElement:
         """delta_j: U^p -> i p_j U^p; j is 1-based."""
         if not (1 <= j <= self.dim):
             raise ValueError(f"derivation index {j} outside 1..{self.dim}")
-        return TorusElement(self.theta,
-                            {p: 1j * p[j - 1] * c for p, c in self.coeffs.items()})
+        return TorusElement._make(self.theta,
+                                  {p: v for p, c in self.coeffs.items()
+                                   if (v := 1j * p[j - 1] * c)})
 
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs.values())
@@ -139,6 +141,39 @@ class TorusElement:
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return self.distance(self.adjoint()) <= tol
+
+
+def _weyl_sum(theta, pairs) -> TorusElement:
+    """sum of a * b over the (a, b) element pairs, as array operations.
+
+    Per pair, every phase exp(-i pi P theta Q^T) at once, times the outer
+    product of the coefficients; then one sort over all pairs' terms groups
+    them by output mode p + q, one reduction sums each group, and exact
+    zeros are dropped.
+    """
+    th = np.array(theta)
+    modes, vals = [], []
+    for a, b in pairs:
+        if not (a.coeffs and b.coeffs):
+            continue
+        p = np.array(list(a.coeffs), dtype=np.int64)
+        q = np.array(list(b.coeffs), dtype=np.int64)
+        phase = np.exp(-1j * np.pi * (p @ th @ q.T))
+        vals.append((phase * np.outer(list(a.coeffs.values()),
+                                      list(b.coeffs.values()))).ravel())
+        modes.append((p[:, None, :] + q[None, :, :]).reshape(-1, p.shape[1]))
+    if not modes:
+        return TorusElement._make(theta, {})
+    r = np.concatenate(modes)
+    order = np.lexsort(r.T)
+    r = r[order]
+    first = np.ones(len(r), dtype=bool)
+    np.any(r[1:] != r[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    s = np.add.reduceat(np.concatenate(vals)[order], starts)
+    keep = s != 0
+    return TorusElement._make(theta, dict(zip(map(tuple, r[starts[keep]].tolist()),
+                                              s[keep].tolist())))
 
 
 def torus_trace(a: TorusElement) -> complex:
@@ -160,16 +195,12 @@ class FormalSeries:
         return len(self.orders) - 1
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
+        # one order at a time, so only that order's pairs are held in memory
         k = min(self.truncation, other.truncation)
         theta = self.orders[0].theta
-        out = [TorusElement.zero(theta) for _ in range(k + 1)]
-        for i, a in enumerate(self.orders[:k + 1]):
-            if not a.coeffs:
-                continue
-            for j, b in enumerate(other.orders[:k + 1 - i]):
-                if b.coeffs:
-                    out[i + j] = out[i + j] + a * b
-        return FormalSeries(out)
+        return FormalSeries([_weyl_sum(theta, [(self.orders[i], other.orders[m - i])
+                                               for i in range(m + 1)])
+                             for m in range(k + 1)])
 
     def derive(self, j: int) -> "FormalSeries":
         return FormalSeries([a.derive(j) for a in self.orders])
@@ -187,40 +218,65 @@ def torus_exp(h: TorusElement, scale: float, truncation: int) -> FormalSeries:
     return FormalSeries(orders)
 
 
+def _paired_traces(x: FormalSeries, y: FormalSeries) -> List[complex]:
+    """tau((x * y)_m) for every order m, without forming the product.
+
+    tau((x y)_m) = sum_{i+j=m} sum_p x_i[p] y_j[-p]: only U^p U^{-p} reaches
+    the constant mode, and its Weyl phase exp(i pi p.theta.p) is 1 by
+    antisymmetry.
+    """
+    k = min(x.truncation, y.truncation)
+    flipped = [{tuple(-c for c in p): v for p, v in b.coeffs.items()}
+               for b in y.orders[:k + 1]]
+    return [sum((c * flipped[m - i].get(p, 0)
+                 for i in range(m + 1) for p, c in x.orders[i].coeffs.items()), 0j)
+            for m in range(k + 1)]
+
+
 def torus_trace_identity(h: TorusElement, alpha: int, beta: int, j: int,
                          truncation: int, tol: float = 1e-12) -> float:
     """Residual of tau(k^alpha delta_j(k) k^beta) = 0, k = exp(t h), order by order.
 
     Returns the largest |tau| over t-orders 0..truncation; h must be
-    self-adjoint so that k is a positive invertible element.
+    self-adjoint so that k is a positive invertible element.  The last
+    product with k^beta is only ever traced, so it is read as a pairing.
     """
     if not h.is_self_adjoint(tol):
         raise ValueError("h must be self-adjoint")
     ka = torus_exp(h, float(alpha), truncation)
     dk = torus_exp(h, 1.0, truncation).derive(j)
     kb = torus_exp(h, float(beta), truncation)
-    prod = ka * dk * kb
-    return max(abs(term.trace()) for term in prod.orders)
+    return max(abs(t) for t in _paired_traces(ka * dk, kb))
 
 
 # quantum disc / SU_q(2) boundary ----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _swap(q: float, c: int, a: int) -> Tuple[Tuple[int, int, complex], ...]:
-    """Normal form of z*^c z^a as sum of z^{a'} z*^{c'} monomials."""
+def _swap(q: float, c: int, a: int, memo: Optional[Dict] = None
+          ) -> Tuple[Tuple[Tuple[int, int], complex], ...]:
+    """Normal form of z*^c z^a as sum of z^{a'} z*^{c'} monomials.
+
+    memo keeps the forms already built at this q for the length of one
+    product; a cache shared across calls would grow with every new q.
+    """
     if c == 0 or a == 0:
         return (((a, c), 1.0 + 0j),)
+    if memo is None:
+        memo = {}
+    done = memo.get((c, a))
+    if done is not None:
+        return done
     out: Dict[Tuple[int, int], complex] = {}
     q2 = q * q
     # z*^c z^a = q^2 z*^{c-1} z (z* z^{a-1}) + (1 - q^2) z*^{c-1} z^{a-1}
-    for (a2, c2), w in _swap(q, 1, a - 1):
-        for (a3, c3), w2 in _swap(q, c - 1, a2 + 1):
+    for (a2, c2), w in _swap(q, 1, a - 1, memo):
+        for (a3, c3), w2 in _swap(q, c - 1, a2 + 1, memo):
             key = (a3, c3 + c2)
             out[key] = out.get(key, 0) + q2 * w * w2
-    for (a4, c4), w in _swap(q, c - 1, a - 1):
+    for (a4, c4), w in _swap(q, c - 1, a - 1, memo):
         key = (a4, c4)
         out[key] = out.get(key, 0) + (1 - q2) * w
-    return tuple(sorted(out.items()))
+    done = memo[(c, a)] = tuple(sorted(out.items()))
+    return done
 
 
 class QuantumDiscElement:
@@ -274,9 +330,10 @@ class QuantumDiscElement:
     def __mul__(self, other: "QuantumDiscElement") -> "QuantumDiscElement":
         self._same(other)
         out: Dict[Tuple[int, int], complex] = {}
+        memo: Dict = {}
         for (a1, c1), v1 in self.coeffs.items():
             for (a2, c2), v2 in other.coeffs.items():
-                for (am, cm), w in _swap(self.q, c1, a2):
+                for (am, cm), w in _swap(self.q, c1, a2, memo):
                     key = (a1 + am, cm + c2)
                     s = out.get(key, 0) + v1 * v2 * w
                     if s:
@@ -366,28 +423,38 @@ def tau1(x: QuantumDiscElement) -> complex:
     return sum(v for (a, c), v in x.coeffs.items() if a == c)
 
 
-def _tau0(x: QuantumDiscElement, n_trunc: int, offset: float,
-          tol: float, check: bool) -> complex:
-    val = disc_truncated_trace(x, n_trunc) - (n_trunc + offset) * tau1(x)
+def _tau0(x: QuantumDiscElement, n_trunc: int, tol: float,
+          check: bool) -> Tuple[complex, complex]:
+    """(tau0_up, tau0_dn) at truncation N, from one truncated trace.
+
+    The convergence check compares the truncations N and N//2 once: the two
+    counting offsets shift both by the same multiple of tau1, so the
+    difference it tests is the same for either offset.  This check is the
+    only part of a cancellation that can fail: tau0_up - tau0_dn + tau1 is
+    (1/2 - 3/2 + 1) tau1 = 0 by algebra, whatever the truncated trace returns.
+    """
+    t1 = tau1(x)
+    full = disc_truncated_trace(x, n_trunc)
     if check:
-        half = disc_truncated_trace(x, n_trunc // 2) - (n_trunc // 2 + offset) * tau1(x)
-        if abs(val - half) > tol:
+        half = disc_truncated_trace(x, n_trunc // 2)
+        gap = abs((full - n_trunc * t1) - (half - (n_trunc // 2) * t1))
+        if gap > tol:
             raise ConvergenceError(
                 f"tau0 truncations at N={n_trunc} and N={n_trunc // 2} differ by "
-                f"{abs(val - half):.3e} (tol {tol:.1e})")
-    return val
+                f"{gap:.3e} (tol {tol:.1e})")
+    return full - (n_trunc + 1.5) * t1, full - (n_trunc + 0.5) * t1
 
 
 def tau0_up(x: QuantumDiscElement, n_trunc: int, tol: float = 1e-8,
             check: bool = True) -> complex:
     """lim_N [Tr_N pi(x) - (N + 3/2) tau1(x)], evaluated at truncation N."""
-    return _tau0(x, n_trunc, 1.5, tol, check)
+    return _tau0(x, n_trunc, tol, check)[0]
 
 
 def tau0_dn(x: QuantumDiscElement, n_trunc: int, tol: float = 1e-8,
             check: bool = True) -> complex:
     """Same finite part with the (N + 1/2) counting offset."""
-    return _tau0(x, n_trunc, 0.5, tol, check)
+    return _tau0(x, n_trunc, tol, check)[1]
 
 
 @dataclass(frozen=True)
@@ -405,17 +472,14 @@ class CancellationReport:
 def suq2_residue_cancellation(x: QuantumDiscElement, n_trunc: int,
                               tol: float = 1e-8) -> CancellationReport:
     """The boundary cancellation tau0_up - tau0_dn = -tau1 at truncation N."""
-    return CancellationReport(tau1(x),
-                              tau0_up(x, n_trunc, tol),
-                              tau0_dn(x, n_trunc, tol))
+    return CancellationReport(tau1(x), *_tau0(x, n_trunc, tol, True))
 
 
 def suq2_paired_combination(x: QuantumDiscElement, y: QuantumDiscElement,
                             n_trunc: int, tol: float = 1e-8) -> float:
     """|(tau1 (x) Delta - Delta (x) tau1)(x (x) y)| with Delta = tau0_up - tau0_dn."""
-    dx = tau0_up(x, n_trunc, tol) - tau0_dn(x, n_trunc, tol)
-    dy = tau0_up(y, n_trunc, tol) - tau0_dn(y, n_trunc, tol)
-    return abs(tau1(x) * dy - dx * tau1(y))
+    (up_x, dn_x), (up_y, dn_y) = _tau0(x, n_trunc, tol, True), _tau0(y, n_trunc, tol, True)
+    return abs(tau1(x) * (up_y - dn_y) - (up_x - dn_x) * tau1(y))
 
 
 class Suq2DiracSpec:

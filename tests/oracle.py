@@ -1,16 +1,21 @@
 """Independent oracles the tests compare against: explicit gamma matrices via
-Pauli tensor products, Monte-Carlo sphere averages, and a direct first-order
-expansion of the torsion residue that bypasses the parametrix machinery."""
+Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
+expansion of the torsion residue that bypasses the parametrix machinery, and
+the noncommutative-torus product one pair of modes at a time."""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+import cmath
+import math
+
 import numpy as np
 
 from spectral_torsion import (MatrixQQ, Multivector, OneForm, QQi,
-                              ResidueValue, TorsionTensor, clifford_trace, qi)
+                              ResidueValue, TorsionTensor, TorusElement, clifford_trace,
+                              qi)
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -76,6 +81,26 @@ def torsion_cube(t: TorsionTensor) -> Multivector:
             out = out + (Multivector.gamma(t.dim, p[0]) * Multivector.gamma(t.dim, p[1])
                          * Multivector.gamma(t.dim, p[2])).scale(t.get(*p))
     return out
+
+
+def torus_product(a: TorusElement, b: TorusElement) -> TorusElement:
+    """sum_{p,q} a_p b_q exp(-i pi p.theta.q) U^{p+q}, one cmath.exp per pair
+    of modes, accumulated in a dict that drops exact zeros as it goes."""
+    out = {}
+    for p, cp in a.coeffs.items():
+        for q, cq in b.coeffs.items():
+            s = 0.0
+            for i, p_i in enumerate(p):
+                if p_i:
+                    row = a.theta[i]
+                    s += p_i * sum(row[j] * q_j for j, q_j in enumerate(q) if q_j)
+            r = tuple(x + y for x, y in zip(p, q))
+            v = out.get(r, 0) + cp * cq * cmath.exp(-1j * math.pi * s)
+            if v:
+                out[r] = v
+            else:
+                out.pop(r, None)
+    return TorusElement(a.theta, out)
 
 
 def perturbation_residue(u: OneForm, v: OneForm, w: OneForm,

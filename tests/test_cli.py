@@ -244,6 +244,33 @@ class TestInputHardening:
         assert failed and rep["counts"]["failed"] == len(failed)
         assert all("tau0 truncations at N=2 and N=1 differ" in c["note"] for c in failed)
 
+    def test_eval_with_two_dims_rejected(self, tmp_path, capsys):
+        # eval runs at one n; the report would echo both
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3, 4],
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert rc == 2
+        assert "eval takes one dimension, got dims [3, 4]" in err
+        assert out == ""
+
+    def test_doubled_with_two_dims_rejected(self, capsys):
+        rc, out, err = run(capsys, "examples", "doubled", "--dims", "4,6")
+        assert rc == 2
+        assert "examples doubled takes one dimension, got dims [4, 6]" in err
+        assert out == ""
+
+    def test_single_dim_commands_default_to_one_dim(self, tmp_path, capsys):
+        rc, rep, _ = run_json(capsys, "examples", "doubled", "--phi", "0")
+        assert rc == 0
+        assert rep["config"]["dims"] == [4]
+        cfg = TestEval._write(tmp_path, {
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, rep, _ = run_json(capsys, "eval", "--config", cfg)
+        assert rc == 0
+        assert rep["config"]["dims"] == [3]
+        assert [c["name"] for c in rep["checks"]] == ["eval n=3"]
+
     def test_huge_torsion_value_keeps_exact_parts(self, tmp_path, capsys):
         # 1e400 exceeds the float range: the rendering saturates, the exact parts stay
         cfg = TestEval._write(tmp_path, {

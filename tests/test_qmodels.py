@@ -28,7 +28,10 @@ from spectral_torsion import (
     torus_trace_identity,
     zstar_z,
 )
-from spectral_torsion.qmodels import FormalSeries, _swap
+from spectral_torsion import qmodels
+from spectral_torsion.qmodels import FormalSeries, _paired_traces, _swap
+
+from oracle import torus_product
 
 
 THETA2 = ((0.0, 0.35), (-0.35, 0.0))
@@ -61,6 +64,40 @@ class TestTorusAlgebra:
         want = cmath.exp(-1j * math.pi * s)
         assert set(prod.coeffs) == {(4, -1)}
         assert abs(prod.coeffs[(4, -1)] - want) < 1e-15
+
+    def test_product_matches_pairwise_oracle(self):
+        rng = Random(15)
+        for dim in (2, 3, 4, 5):
+            theta = random_theta(rng, dim)
+            for _ in range(10):
+                a = _random_torus(rng, theta, modes=6)
+                b = _random_torus(rng, theta, modes=6)
+                got, want = a * b, torus_product(a, b)
+                assert set(got.coeffs) == set(want.coeffs)
+                assert all(type(x) is int for p in got.coeffs for x in p)
+                for p, c in want.coeffs.items():
+                    assert abs(got.coeffs[p] - c) < 1e-12
+
+    def test_series_product_matches_pairwise_oracle(self):
+        rng = Random(16)
+        for dim in (2, 3, 4, 5):
+            theta = random_theta(rng, dim)
+            s = FormalSeries([_random_torus(rng, theta) for _ in range(4)])
+            t = FormalSeries([_random_torus(rng, theta) for _ in range(5)])
+            got = s * t
+            assert got.truncation == 3
+            for m in range(4):
+                want = TorusElement.zero(theta)
+                for i in range(m + 1):
+                    want = want + torus_product(s.orders[i], t.orders[m - i])
+                assert set(got.orders[m].coeffs) == set(want.coeffs)
+                assert got.orders[m].distance(want) < 1e-12
+
+    def test_modes_must_fit_the_product_arrays(self):
+        for bad in ((2 ** 31, 0), (0, -2 ** 31), (np.int64(1), 0), (1.0, 0)):
+            with pytest.raises(ValueError):
+                TorusElement(THETA2, {bad: 1.0})
+        TorusElement(THETA2, {(2 ** 31 - 1, -2 ** 31 + 1): 1.0})
 
     def test_trace_picks_constant_mode(self):
         x = (TorusElement.weyl(THETA2, (0, 0), 2.5)
@@ -148,6 +185,40 @@ class TestTorusTraceIdentity:
         assert max(abs(t.trace()) for t in prod.orders) > 0.5
 
 
+class TestPairedTraces:
+    @staticmethod
+    def _draw(seed: int, dim: int):
+        rng = Random(seed)
+        theta = random_theta(rng, dim)
+        h = random_torus_h(rng, theta, max_modes=3)
+        return h, rng.randint(1, dim)
+
+    def test_pairing_equals_trace_of_the_full_product(self):
+        for seed, dim in ((17, 2), (18, 3), (19, 4)):
+            h, j = self._draw(seed, dim)
+            for alpha, beta in ((2, -1), (-1, -1), (1, 2)):
+                x = torus_exp(h, alpha, 6) * torus_exp(h, 1.0, 6).derive(j)
+                kb = torus_exp(h, beta, 6)
+                paired = _paired_traces(x, kb)
+                full = x * kb
+                assert len(paired) == len(full.orders) == 7
+                for m, term in enumerate(full.orders):
+                    assert abs(paired[m] - term.trace()) < 1e-12
+
+    def test_pairing_is_not_vacuous(self):
+        # tau(k^a k^b) = tau(k^(a+b)) is nonzero, so an always-zero pairing fails here
+        seen = 0.0
+        for seed, dim in ((20, 2), (21, 3)):
+            h, _ = self._draw(seed, dim)
+            for alpha, beta in ((2, 1), (1, 1), (-1, 3)):
+                ka, kb = torus_exp(h, alpha, 5), torus_exp(h, beta, 5)
+                paired = _paired_traces(ka, kb)
+                for m, term in enumerate((ka * kb).orders):
+                    assert abs(paired[m] - term.trace()) < 1e-12
+                seen = max(seen, max(abs(v) for v in paired))
+        assert seen > 0.1
+
+
 class TestQuantumDisc:
     Q = 0.5
 
@@ -232,6 +303,19 @@ class TestBoundaryTraces:
         with pytest.raises(ConvergenceError):
             tau0_up(w, 10)
         tau0_up(w, 10, check=False)
+
+    def test_cancellation_flags_unconverged_trace(self, monkeypatch):
+        # the residual is 0 by algebra for any trace value, so only the
+        # N-versus-N//2 check can catch a trace that has not converged
+        exact = qmodels.disc_truncated_trace
+        monkeypatch.setattr(qmodels, "disc_truncated_trace",
+                            lambda x, n: exact(x, n) + 1e-3 / n)
+        with pytest.raises(ConvergenceError):
+            suq2_residue_cancellation(zstar_z(self.Q), self.N)
+        with pytest.raises(ConvergenceError):
+            suq2_paired_combination(zstar_z(self.Q), QuantumDiscElement.one(self.Q), self.N)
+        report = suq2_residue_cancellation(zstar_z(self.Q), self.N, tol=1e-3)
+        assert report.residual < 1e-8
 
     def test_cancellation_residual_vanishes(self):
         q = self.Q
