@@ -2,7 +2,7 @@
 
 Each case holds its inputs inline (see tests/golden/build_corpus.py for how they
 were drawn), so a refactor of the exact layers must reproduce every value and
-its CLI rendering bit for bit.  Four masked CLI reports, frozen under
+its CLI rendering bit for bit.  The masked CLI reports frozen under
 tests/golden/reports, must likewise come back byte for byte.
 """
 from __future__ import annotations
@@ -84,12 +84,13 @@ MASKED_REPORTS = {
     "verify-3-4-5.json": ["verify", "--dims", "3,4,5", "--trials", "5", "--seed", "1"],
     "doubled-4.json": ["examples", "doubled", "--dims", "4", "--phi", "1+2i"],
     "eym-2.json": ["examples", "eym", "--dims", "2", "--size", "2"],
+    "eym-2-4-size3.json": ["examples", "eym", "--dims", "2,4", "--size", "3", "--trials", "2"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(MASKED_REPORTS))
 def test_masked_report_is_reproduced_byte_for_byte(name, capsys):
-    """The four frozen reports under tests/golden/reports, rerun with --mask-timing."""
+    """The frozen reports under tests/golden/reports, rerun with --mask-timing."""
     code = main(MASKED_REPORTS[name] + ["--mask-timing"])
     want = (REPORTS / name).read_text()
     assert code == (0 if json.loads(want)["pass"] else 1)
