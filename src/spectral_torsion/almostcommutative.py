@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .clifford import Multivector, chirality
+from .clifford import Multivector, chirality, clifford_action
 from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
 from .symcalc import HomogeneousSymbol, SymbolSum, compose
@@ -30,36 +30,15 @@ from .torsion import (OneForm, ResidueValue, TorsionTensor, _zero_order_symbol,
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
     """L_A acting on M_N by left multiplication, on the basis E_{alpha beta}
-    flattened row-major."""
-    n = a.size
-    rows = []
-    for r in range(n):
-        for t in range(n):
-            row = []
-            for al in range(n):
-                for be in range(n):
-                    row.append(a.entry(r, al) if t == be else QQi())
-            rows.append(tuple(row))
-    return MatrixQQ(tuple(rows))
+    flattened row-major: entries A_{r alpha} d_{t beta}, i.e. A (x) 1."""
+    return a.kron(MatrixQQ.identity(a.size))
 
 
 def adjoint_matrix(x: MatrixQQ) -> MatrixQQ:
-    """ad_X = L_X - R_X on M_N: entries X_{r alpha} d_{beta t} - d_{r alpha} X_{beta t}."""
-    n = x.size
-    rows = []
-    for r in range(n):
-        for t in range(n):
-            row = []
-            for al in range(n):
-                for be in range(n):
-                    v = QQi()
-                    if t == be:
-                        v = v + x.entry(r, al)
-                    if r == al:
-                        v = v - x.entry(be, t)
-                    row.append(v)
-            rows.append(tuple(row))
-    return MatrixQQ(tuple(rows))
+    """ad_X = L_X - R_X on M_N: entries X_{r alpha} d_{beta t} - d_{r alpha} X_{beta t},
+    i.e. X (x) 1 - 1 (x) X^T."""
+    one = MatrixQQ.identity(x.size)
+    return x.kron(one) - one.kron(x.transpose())
 
 
 def adjoint_trace(x: MatrixQQ) -> QQi:
@@ -151,7 +130,11 @@ def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
         raise ValueError("dimension mismatch among inputs")
     if not (u.size == v.size == w.size == model.size):
         raise ValueError("coefficient size mismatch")
-    return u.action() * v.action() * w.action()
+    # L is an algebra map (L_A L_B = L_AB, L_A + L_B = L_{A+B}), so multiply
+    # over M_N and lift each coefficient of the product once
+    uvw = (clifford_action(u.components, u.dim) * clifford_action(v.components, v.dim)
+           * clifford_action(w.components, w.dim))
+    return Multivector(model.dim, {word: left_mult_matrix(c) for word, c in uvw.terms.items()})
 
 
 def _eym_operator(model: EymModel) -> SymbolSum:

@@ -97,6 +97,7 @@ class TorusElement:
         return TorusElement(theta)
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
+        theta = _common_theta((self, other))
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             v = out.get(p, 0) + c
@@ -104,13 +105,13 @@ class TorusElement:
                 out[p] = v
             else:
                 out.pop(p, None)
-        return TorusElement._make(self.theta, out)
+        return TorusElement._make(theta, out)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + other.scale(-1)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
-        return _weyl_sum(self.theta, ((self, other),))
+        return _weyl_sum(_common_theta((self, other)), ((self, other),))
 
     def scale(self, s: complex) -> "TorusElement":
         return TorusElement._make(self.theta, {p: v for p, c in self.coeffs.items()
@@ -141,6 +142,15 @@ class TorusElement:
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return self.distance(self.adjoint()) <= tol
+
+
+def _common_theta(elements) -> Tuple[Tuple[float, ...], ...]:
+    """The deformation parameter the given torus elements share; mixing two is an error."""
+    theta = elements[0].theta
+    for x in elements[1:]:
+        if x.theta != theta:
+            raise ValueError("mixing different deformation parameters")
+    return theta
 
 
 def _weyl_sum(theta, pairs) -> TorusElement:
@@ -197,7 +207,7 @@ class FormalSeries:
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         # one order at a time, so only that order's pairs are held in memory
         k = min(self.truncation, other.truncation)
-        theta = self.orders[0].theta
+        theta = _common_theta(self.orders + other.orders)
         return FormalSeries([_weyl_sum(theta, [(self.orders[i], other.orders[m - i])
                                                for i in range(m + 1)])
                              for m in range(k + 1)])

@@ -1,7 +1,8 @@
 """Independent oracles the tests compare against: explicit gamma matrices via
 Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
-expansion of the torsion residue that bypasses the parametrix machinery, and
-the noncommutative-torus product one pair of modes at a time."""
+expansion of the torsion residue that bypasses the parametrix machinery, the
+dense matrix product over QQi entries, and the noncommutative-torus product one
+pair of modes at a time."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -23,6 +24,14 @@ PAULI = (
     MatrixQQ.from_rows([[qi(0), qi(0, -1)], [qi(0, 1), qi(0)]]),
     MatrixQQ.from_rows([[qi(1), qi(0)], [qi(0), qi(-1)]]),
 )
+
+
+def dense_matrix_product(a: MatrixQQ, b: MatrixQQ) -> MatrixQQ:
+    """sum_k a_ik b_kj as a QQi sum over every k, zero entries included."""
+    cols = tuple(zip(*b.rows))
+    return MatrixQQ(tuple(tuple(sum((x * y for x, y in zip(row, col)), QQi())
+                                for col in cols)
+                          for row in a.rows))
 
 
 def kron(a: MatrixQQ, b: MatrixQQ) -> MatrixQQ:

@@ -12,7 +12,7 @@ from spectral_torsion import (DoubledEvaluator, DoubledOneForm, EymModel,
                               doubled_torsion_free_test, eym_torsion_density,
                               left_mult_matrix, metric_functional, qi,
                               sphere_integrate, volume_functional)
-from spectral_torsion.almostcommutative import (eym_dirac_symbol,
+from spectral_torsion.almostcommutative import (_eym_lead, eym_dirac_symbol,
                                                 eym_sigma_component)
 from spectral_torsion.clifford import chirality
 from spectral_torsion.sampling import (random_anti_hermitian_traceless,
@@ -21,6 +21,8 @@ from spectral_torsion.symcalc import compose, hs_is_zero, negative_power
 from spectral_torsion.torsion import (TorsionTensor, _zero_order_symbol,
                                       dirac_symbol, lead_residue,
                                       residue_of_symbol, sphere_average)
+
+from oracle import dense_matrix_product
 
 
 def _random_matrix(rng: Random, size: int) -> MatrixQQ:
@@ -137,6 +139,38 @@ class TestEymModel:
         rng = Random(22)
         u, v, w = self._forms(rng, dim, size)
         assert hs_is_zero(eym_sigma_component(model, u, v, w))
+
+    @pytest.mark.parametrize("dim,size", [(2, 2), (2, 3), (4, 2), (4, 3)])
+    def test_lead_lifts_the_product_over_m_n(self, dim, size):
+        # the lead is multiplied over M_N and lifted; the reference multiplies
+        # the lifted one-forms over End(M_N)
+        rng = Random(40 + 10 * dim + size)
+        model = self._model(rng, dim, size)
+        u, v, w = (MatrixOneForm(dim, tuple(_random_matrix(rng, size) for _ in range(dim)))
+                   for _ in range(3))
+        lead = _eym_lead(model, u, v, w)
+        assert lead
+        assert lead == u.action() * v.action() * w.action()
+
+    @pytest.mark.parametrize("dim,size", [(2, 2), (4, 2), (2, 3)])
+    def test_sigma_component_matches_dense_products(self, dim, size, monkeypatch):
+        # the density is identically 0, so it cannot catch a wrong product;
+        # the degree -n symbol before integration is nonzero and can
+        rng = Random(50 + 10 * dim + size)
+        model = self._model(rng, dim, size)
+        u, v, w = self._forms(rng, dim, size)
+        comp = eym_sigma_component(model, u, v, w)
+        assert not hs_is_zero(comp)
+        sparse_mul, dense_calls = MatrixQQ.__mul__, []
+
+        def dense_mul(a, b):
+            if isinstance(b, MatrixQQ):
+                dense_calls.append(b.size)
+                return dense_matrix_product(a, b)
+            return sparse_mul(a, b)
+        monkeypatch.setattr(MatrixQQ, "__mul__", dense_mul)
+        assert hs_is_zero(eym_sigma_component(model, u, v, w) - comp)
+        assert {size, size * size} <= set(dense_calls)
 
 
 class TestDoubled:

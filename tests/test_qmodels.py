@@ -159,6 +159,20 @@ class TestTorusAlgebra:
         with pytest.raises(ValueError):
             FormalSeries([])
 
+    def test_distinct_deformation_parameters_rejected(self):
+        a = TorusElement.weyl(((0.0, 0.3), (-0.3, 0.0)), (1, 0))
+        b = TorusElement.weyl(((0.0, 0.7), (-0.7, 0.0)), (0, 1))
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="mixing different deformation parameters"):
+                op(a, b)
+        same = TorusElement.weyl(a.theta, (0, 1))
+        assert (a * same).coeffs == {(1, 1): pytest.approx(cmath.exp(-0.3j * math.pi))}
+        with pytest.raises(ValueError, match="mixing different deformation parameters"):
+            FormalSeries([a, a]) * FormalSeries([b, b])
+        # a series whose later order carries another theta is mixed too
+        with pytest.raises(ValueError, match="mixing different deformation parameters"):
+            FormalSeries([a, b]) * FormalSeries([same, same])
+
 
 class TestTorusTraceIdentity:
     def test_requires_self_adjoint_argument(self):
