@@ -35,8 +35,7 @@ from .qmodels import (CancellationReport, ConvergenceError, FormalSeries,
                       antisymmetric_theta, disc_represent,
                       disc_truncated_trace, suq2_paired_combination,
                       suq2_residue_cancellation, tau0_dn, tau0_up, tau1,
-                      torus_exp, torus_trace, torus_trace_identity,
-                      zstar_z)
+                      torus_exp, torus_trace_identity, zstar_z)
 from .sampling import (random_anti_hermitian_traceless, random_contorsion,
                        random_fraction, random_one_form, random_qqi,
                        random_theta, random_torsion, random_torus_h, seeded)
@@ -66,6 +65,6 @@ __all__ = [
     "sphere_volume", "sqrt_symbol", "suq2_paired_combination",
     "suq2_residue_cancellation", "tau0_dn", "tau0_up", "tau1",
     "torsion_contraction", "torsion_from_contorsion", "torsion_functional",
-    "torus_exp", "torus_trace", "torus_trace_identity", "trace_power", "unit_symbol",
+    "torus_exp", "torus_trace_identity", "trace_power", "unit_symbol",
     "volume_functional", "zstar_z",
 ]

@@ -24,8 +24,8 @@ from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
 from .symcalc import HomogeneousSymbol, SymbolSum, compose
 from .torsion import (OneForm, ResidueValue, TorsionTensor, _zero_order_symbol,
-                      dirac_symbol, inverse_power_symbol, lead_residue,
-                      sphere_average)
+                      dirac_power, dirac_symbol, first_order_symbol,
+                      inverse_power_symbol, lead_residue, sphere_average)
 
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
@@ -102,26 +102,10 @@ class MatrixOneForm:
 
 def eym_dirac_symbol(model: EymModel) -> SymbolSum:
     """sigma(D~) = -g^j xi_j (x) 1 + g^a (x) (i ad_{X_a})."""
-    n2 = model.size ** 2
-    dim = model.dim
-    deg1 = HomogeneousSymbol(dim, 1)
-    ident = MatrixQQ.identity(n2)
-    for j in range(1, dim + 1):
-        alpha = tuple(int(l == j) for l in range(1, dim + 1))
-        deg1._merge((alpha, 0, 0), Multivector(dim, {(j,): qi(-1) * ident}))
-    deg0 = HomogeneousSymbol(dim, 0)
     i_unit = qi(0, 1)
-    acc = Multivector(dim)
-    for a, x in enumerate(model.gauge, start=1):
-        ad = adjoint_matrix(x)
-        if ad:
-            acc = acc + Multivector(dim, {(a,): i_unit * ad})
-    if acc:
-        deg0._merge(((0,) * dim, 0, 0), acc)
-    parts = {1: deg1}
-    if deg0:
-        parts[0] = deg0
-    return SymbolSum(dim, parts, budget=2)
+    potential = Multivector(model.dim, {(a,): i_unit * adjoint_matrix(x)
+                                        for a, x in enumerate(model.gauge, start=1)})
+    return first_order_symbol(model.dim, MatrixQQ.identity(model.size ** 2), {0: potential})
 
 
 def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
@@ -137,26 +121,20 @@ def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
     return Multivector(model.dim, {word: left_mult_matrix(c) for word, c in uvw.terms.items()})
 
 
-def _eym_operator(model: EymModel) -> SymbolSum:
-    """Symbol of D~ |D~|^{-n} to two leading degrees."""
-    d = eym_dirac_symbol(model)
-    return compose(d, inverse_power_symbol(d), 2)
-
-
 def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
                         w: MatrixOneForm) -> HomogeneousSymbol:
     """Degree -n component of sigma(u v w D~ |D~|^{-n}) before integration/trace.
 
     Exposed so linearity in the ad operators can be checked term by term."""
     lead = _zero_order_symbol(_eym_lead(model, u, v, w))
-    return compose(lead, _eym_operator(model), 2).component(-model.dim)
+    return compose(lead, dirac_power(eym_dirac_symbol(model))).component(-model.dim)
 
 
 def eym_torsion_density(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
                         w: MatrixOneForm) -> ResidueValue:
     """W(u v w D~ |D~|^{-n}) for the Yang-Mills fluctuation; identically zero."""
     lead = _eym_lead(model, u, v, w)
-    return lead_residue(lead, sphere_average(_eym_operator(model), model.dim))
+    return lead_residue(lead, sphere_average(dirac_power(eym_dirac_symbol(model)), model.dim))
 
 
 # two-sheeted space -----------------------------------------------------------
@@ -213,9 +191,8 @@ class DoubledEvaluator:
         d = dirac_symbol(TorsionTensor.zero(dim), dim)
         power = inverse_power_symbol(d)
         # a diagonal block of the lead meets D |D|^{-n}, an off-diagonal one chi |D|^{-n}
-        self.d_power = sphere_average(compose(d, power, 2), dim)
-        self.chi_power = sphere_average(
-            compose(_zero_order_symbol(chirality(dim)), power, 2), dim)
+        self.d_power = sphere_average(compose(d, power), dim)
+        self.chi_power = sphere_average(compose(_zero_order_symbol(chirality(dim)), power), dim)
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
                 o3: DoubledOneForm) -> ResidueValue:

@@ -87,6 +87,8 @@ def scalar_json(value) -> Dict[str, Any]:
 
 @dataclass
 class RunConfig:
+    """A run's settings; the field defaults are the CLI defaults."""
+
     command: str
     which: Optional[str] = None
     dims: List[int] = field(default_factory=list)
@@ -207,29 +209,29 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     single = {"eval": "eval", "doubled": "examples doubled"}.get(cfg.which or cfg.command)
     if single and len(cfg.dims) > 1:
         raise ConfigError(f"{single} takes one dimension, got dims {cfg.dims}")
-    cfg.trials = _int_option(pick("trials", "trials", 20), "trials", 1)
-    cfg.seed = _int_option(pick("seed", "seed", 1), "seed")
+    cfg.trials = _int_option(pick("trials", "trials", cfg.trials), "trials", 1)
+    cfg.seed = _int_option(pick("seed", "seed", cfg.seed), "seed")
     # N and N//2 must differ, or the truncation-convergence checks pass vacuously
-    cfg.trunc_k = _int_option(pick("K", "K", 6), "K", 0)
+    cfg.trunc_k = _int_option(pick("K", "K", cfg.trunc_k), "K", 0)
     if cfg.trunc_k < 2:
         # the torus identities at t-orders 0 and 1 hold for every h, so they test nothing
         raise ConfigError(f"K must be >= 2 (orders 0 and 1 vanish for every h), "
                           f"got {cfg.trunc_k}")
-    cfg.trunc_n = _int_option(pick("N", "N", 2000), "N", 2)
-    q_raw = pick("q", "q", 0.5)
+    cfg.trunc_n = _int_option(pick("N", "N", cfg.trunc_n), "N", 2)
+    q_raw = pick("q", "q", cfg.q)
     try:
         cfg.q = float(q_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad q value {q_raw!r}") from exc
     if not (0 < cfg.q < 1):
         raise ConfigError(f"q must lie in (0,1), got {cfg.q}")
-    phi_raw = pick("phi", "phi", "1")
+    phi_raw = pick("phi", "phi", cfg.phi)
     try:
         cfg.phi = parse_complex_rational(str(phi_raw))
     except ValueError as exc:
         raise ConfigError(f"bad phi value {phi_raw!r}") from exc
-    cfg.size = _int_option(pick("size", "size", 2), "size", 1)
-    cfg.out = pick("out", "out", None)
+    cfg.size = _int_option(pick("size", "size", cfg.size), "size", 1)
+    cfg.out = pick("out", "out", cfg.out)
     if cfg.out is not None and not isinstance(cfg.out, str):
         # open() would take an int or bool as a file descriptor
         raise ConfigError(f"out must be a file name, got {cfg.out!r}")

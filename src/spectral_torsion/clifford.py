@@ -175,13 +175,6 @@ class Multivector:
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
-    def coefficient(self, word: Sequence[int]) -> object:
-        sign, canon = reduce_word(word)
-        c = self.terms.get(canon)
-        if c is None:
-            return QQi()
-        return c if sign > 0 else -c
-
     def scalar_part(self) -> object:
         return self.terms.get((), QQi())
 

@@ -80,8 +80,9 @@ class MatrixQQ:
     @staticmethod
     def unit(n: int, i: int, j: int) -> "MatrixQQ":
         """Matrix unit E_ij (0-based)."""
-        return _make(n, 1, tuple((j, 1, 0) if r == i and 0 <= j < n else ()
-                                 for r in range(n)))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"matrix unit index ({i}, {j}) outside 0..{n - 1}")
+        return _make(n, 1, tuple((j, 1, 0) if r == i else () for r in range(n)))
 
     @property
     def size(self) -> int:

@@ -186,10 +186,6 @@ def _weyl_sum(theta, pairs) -> TorusElement:
                                               s[keep].tolist())))
 
 
-def torus_trace(a: TorusElement) -> complex:
-    return a.trace()
-
-
 class FormalSeries:
     """Polynomial in a formal parameter t with TorusElement coefficients."""
 
@@ -248,15 +244,17 @@ def torus_trace_identity(h: TorusElement, alpha: int, beta: int, j: int,
     """Residual of tau(k^alpha delta_j(k) k^beta) = 0, k = exp(t h), order by order.
 
     Returns the largest |tau| over t-orders 0..truncation; h must be
-    self-adjoint so that k is a positive invertible element.  The last
-    product with k^beta is only ever traced, so it is read as a pairing.
+    self-adjoint so that k is a positive invertible element.  The powers of h
+    are formed once: order m of k^alpha = exp(alpha t h) is alpha^m times
+    order m of k.  The last product with k^beta is only ever traced, so it is
+    read as a pairing.
     """
     if not h.is_self_adjoint(tol):
         raise ValueError("h must be self-adjoint")
-    ka = torus_exp(h, float(alpha), truncation)
-    dk = torus_exp(h, 1.0, truncation).derive(j)
-    kb = torus_exp(h, float(beta), truncation)
-    return max(abs(t) for t in _paired_traces(ka * dk, kb))
+    k = torus_exp(h, 1.0, truncation)
+    ka, kb = (FormalSeries([o.scale(float(s) ** m) for m, o in enumerate(k.orders)])
+              for s in (alpha, beta))
+    return max(abs(t) for t in _paired_traces(ka * k.derive(j), kb))
 
 
 # quantum disc / SU_q(2) boundary ----------------------------------------------

@@ -9,8 +9,8 @@ is an exponent multi-index and rho an integer power of the Euclidean norm.
 x-dependence is kept as a jet of order 1: a term either has no x factor or a
 single linear factor x_j.  Products of two x-linear terms leave the truncated
 class and are dropped; since evaluation happens at x = 0 and curvature enters
-the metric only at x-order 2, the truncation is exact for every degree kept by
-the budgets used here.
+the metric only at x-order 2, the truncation is exact for the TRACKED = 2 top
+degrees kept here, which are all the residue functionals read.
 
 Composition follows sigma(AB) = sum_alpha (1/alpha!) d_xi^alpha A . (-i d_x)^alpha B;
 with order-1 jets only |alpha| <= 1 contributes, exactly.
@@ -27,6 +27,7 @@ from .scalars import QQi
 
 TermKey = Tuple[Tuple[int, ...], int, int]   # (alpha, rho, xj); xj = 0 means none
 MINUS_I = QQi(Fraction(0), Fraction(-1))
+TRACKED = 2   # homogeneous degrees kept, counting down from the leading one
 
 
 def _check_key(key: TermKey, dim: int) -> None:
@@ -183,19 +184,16 @@ def hs_is_zero(h: HomogeneousSymbol) -> bool:
 
 
 class SymbolSum:
-    """Asymptotic expansion: homogeneous components for the top `budget` degrees.
+    """Asymptotic expansion: homogeneous components for the top TRACKED degrees.
 
     parts maps degree -> HomogeneousSymbol.  Degrees below
-    leading_degree - budget + 1 are not tracked and carry no meaning.
+    leading_degree - TRACKED + 1 are not tracked and carry no meaning.
     """
 
-    __slots__ = ("dim", "parts", "budget")
+    __slots__ = ("dim", "parts")
 
-    def __init__(self, dim: int, parts: Mapping[int, HomogeneousSymbol], budget: int):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+    def __init__(self, dim: int, parts: Mapping[int, HomogeneousSymbol]):
         self.dim = dim
-        self.budget = budget
         self.parts: Dict[int, HomogeneousSymbol] = {}
         for deg, hs in parts.items():
             if hs.dim != dim or hs.degree != deg:
@@ -212,10 +210,6 @@ class SymbolSum:
     def component(self, degree: int) -> HomogeneousSymbol:
         return self.parts.get(degree, HomogeneousSymbol.zero(self.dim, degree))
 
-    def tracked_degrees(self) -> range:
-        lead = self.leading_degree
-        return range(lead, lead - self.budget, -1)
-
     def __sub__(self, other: "SymbolSum") -> "SymbolSum":
         degs = set(self.parts) | set(other.parts)
         parts = {}
@@ -223,27 +217,25 @@ class SymbolSum:
             h = self.component(d) - other.component(d)
             if h:
                 parts[d] = h
-        return SymbolSum(self.dim, parts, min(self.budget, other.budget))
+        return SymbolSum(self.dim, parts)
 
 
-def unit_symbol(dim: int, budget: int = 1) -> SymbolSum:
-    return SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.unit(dim))},
-                     budget)
+def unit_symbol(dim: int) -> SymbolSum:
+    return SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.unit(dim))})
 
 
-def compose(a: SymbolSum, b: SymbolSum, budget: int) -> SymbolSum:
-    """Symbol of the operator product, valid for the top `budget` degrees."""
+def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
+    """Symbol of the operator product, valid for the top TRACKED degrees."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if min(a.budget, b.budget) < budget:
-        raise ValueError("insufficient budget on an input symbol")
     if not a.parts or not b.parts:
-        return SymbolSum(a.dim, {}, budget)
-    lead = a.leading_degree + b.leading_degree
+        return SymbolSum(a.dim, {})
+    lead_a = a.leading_degree
+    lead = lead_a + b.leading_degree
     parts: Dict[int, HomogeneousSymbol] = {}
-    for d in range(lead, lead - budget, -1):
+    for d in range(lead, lead - TRACKED, -1):
         acc = HomogeneousSymbol.zero(a.dim, d)
-        for da in a.tracked_degrees():
+        for da in range(lead_a, lead_a - TRACKED, -1):
             db = d - da
             if db in b.parts and da in a.parts:
                 acc = acc + hs_mul(a.parts[da], b.parts[db])
@@ -259,7 +251,7 @@ def compose(a: SymbolSum, b: SymbolSum, budget: int) -> SymbolSum:
                             acc = acc + hs_mul(dxa, dxb).scale(MINUS_I)
         if acc:
             parts[d] = acc
-    return SymbolSum(a.dim, parts, budget)
+    return SymbolSum(a.dim, parts)
 
 
 def _unit_scalar(mv: Multivector):
@@ -268,21 +260,15 @@ def _unit_scalar(mv: Multivector):
     if coeff is None or len(mv.terms) != 1:
         raise ValueError("leading coefficient is not a multiple of the unit")
     if isinstance(coeff, QQi):
-        if not coeff:
-            raise ValueError("non-invertible leading term")
-        return coeff, QQi(Fraction(1))
-    # matrix-like coefficient: must be c * identity
-    size = coeff.size
-    diag = coeff.entry(0, 0)
-    for i in range(size):
-        for j in range(size):
-            want = diag if i == j else QQi()
-            if coeff.entry(i, j) != want:
-                raise ValueError("leading coefficient is not a multiple of the unit")
+        diag, one = coeff, QQi(Fraction(1))
+    else:
+        # matrix-like coefficient: must be c * identity
+        diag, one = coeff.entry(0, 0), type(coeff).identity(coeff.size)
+        if coeff != diag * one:
+            raise ValueError("leading coefficient is not a multiple of the unit")
     if not diag:
         raise ValueError("non-invertible leading term")
-    from .matrices import MatrixQQ
-    return diag, MatrixQQ.identity(size)
+    return diag, one
 
 
 def _leading_scalar(hs: HomogeneousSymbol):
@@ -308,55 +294,49 @@ def _leading_scalar(hs: HomogeneousSymbol):
     return hs.degree, c, one
 
 
-def parametrix(a: SymbolSum, budget: int) -> SymbolSum:
-    """Right-inverse expansion: compose(parametrix(a), a) = 1 within budget."""
-    if a.budget < budget:
-        raise ValueError("insufficient budget on input symbol")
+def parametrix(a: SymbolSum) -> SymbolSum:
+    """Right-inverse expansion: compose(parametrix(a), a) = 1 on the tracked degrees."""
     p, c, one = _leading_scalar(a.component(a.leading_degree))
     dim = a.dim
     inv_scale = QQi(Fraction(1)) / c
     inv_lead = HomogeneousSymbol.radial(dim, -p, Multivector.scalar(dim, one).scale(inv_scale))
-    b = SymbolSum(dim, {-p: inv_lead}, budget)
+    b = SymbolSum(dim, {-p: inv_lead})
     # identity in the same coefficient ring as a's leading term
-    ident = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, one))},
-                      budget)
-    for step in range(1, budget):
-        err = (compose(b, a, budget) - ident).component(-step)
+    ident = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, one))})
+    for step in range(1, TRACKED):
+        err = (compose(b, a) - ident).component(-step)
         if err:
             b.parts[-p - step] = hs_mul(err, inv_lead).scale(QQi(Fraction(-1)))
     return b
 
 
-def negative_power(a: SymbolSum, m: int, budget: int) -> SymbolSum:
+def negative_power(a: SymbolSum, m: int) -> SymbolSum:
     """Symbol of a^{-m} as an m-fold composition of the parametrix."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    p = parametrix(a, budget)
+    p = parametrix(a)
     out = p
     for _ in range(m - 1):
-        out = compose(out, p, budget)
+        out = compose(out, p)
     return out
 
 
-def sqrt_symbol(a: SymbolSum, budget: int = 2) -> SymbolSum:
+def sqrt_symbol(a: SymbolSum) -> SymbolSum:
     """Square-root expansion of a second-order symbol with leading ||xi||^2.
 
-    Fixed by the binding property compose(s, s) = a within budget; the degree
-    1-k component solves s_1 s_{1-k} + s_{1-k} s_1 = (remainder), and the
-    scalar leading term makes that division exact.
+    Fixed by the binding property compose(s, s) = a on the tracked degrees; the
+    degree 1-k component solves s_1 s_{1-k} + s_{1-k} s_1 = (remainder), and
+    the scalar leading term makes that division exact.
     """
-    if a.budget < budget:
-        raise ValueError("insufficient budget on input symbol")
     p, c, one = _leading_scalar(a.component(a.leading_degree))
     if p != 2 or c != QQi(Fraction(1)):
         raise ValueError("sqrt requires leading term ||xi||^2 times the unit")
     dim = a.dim
     half_inv = HomogeneousSymbol.radial(
         dim, -1, Multivector.scalar(dim, one).scale(QQi(Fraction(1, 2))))
-    s = SymbolSum(dim, {1: HomogeneousSymbol.radial(dim, 1, Multivector.scalar(dim, one))},
-                  budget)
-    for k in range(1, budget):
-        err = (a - compose(s, s, budget)).component(2 - k)
+    s = SymbolSum(dim, {1: HomogeneousSymbol.radial(dim, 1, Multivector.scalar(dim, one))})
+    for k in range(1, TRACKED):
+        err = (a - compose(s, s)).component(2 - k)
         if err:
             s.parts[1 - k] = hs_mul(err, half_inv)
     return s

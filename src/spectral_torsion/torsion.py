@@ -22,7 +22,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
 from .scalars import QQi, ScalarLike, qi
-from .symcalc import (HomogeneousSymbol, SymbolSum, compose, negative_power,
+from .symcalc import (TRACKED, HomogeneousSymbol, SymbolSum, compose, negative_power,
                       parametrix, sphere_integrate, sphere_volume, sqrt_symbol)
 
 OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
@@ -272,6 +272,19 @@ def torsion_form_multivector(t: TorsionTensor) -> Multivector:
     return Multivector(t.dim, {abc: QQi(6 * v) for abc, v in t.entries.items()})
 
 
+def first_order_symbol(dim: int, one, potential: Mapping[int, Multivector]) -> SymbolSum:
+    """-g^j xi_j (x) one + sum_s potential[s] x_s, with x_0 = 1 for the x-free part.
+
+    one is the identity of the coefficient ring (QQi one, or an identity
+    matrix); every Dirac operator examined here has this form.
+    """
+    deg1 = HomogeneousSymbol(dim, 1, {
+        (tuple(int(l == j) for l in range(1, dim + 1)), 0, 0): Multivector(dim, {(j,): -one})
+        for j in range(1, dim + 1)})
+    deg0 = HomogeneousSymbol(dim, 0, {((0,) * dim, 0, s): mv for s, mv in potential.items()})
+    return SymbolSum(dim, {1: deg1, 0: deg0})
+
+
 def dirac_symbol(t: TorsionTensor, dim: int,
                  omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
     """Full symbol of D_T in normal coordinates at the base point.
@@ -282,29 +295,14 @@ def dirac_symbol(t: TorsionTensor, dim: int,
     """
     if t.dim != dim:
         raise ValueError("torsion dimension mismatch")
-    deg1 = HomogeneousSymbol(dim, 1)
-    for j in range(1, dim + 1):
-        alpha = tuple(int(l == j) for l in range(1, dim + 1))
-        deg1._merge((alpha, 0, 0), Multivector.gamma(dim, j).scale(-1))
-    deg0 = HomogeneousSymbol(dim, 0)
-    theta = torsion_form_multivector(t).scale(qi(0, Fraction(-1, 8)))
-    if theta:
-        deg0._merge(((0,) * dim, 0, 0), theta)
-    if omega_jet:
-        per_s: Dict[int, Multivector] = {}
-        for (j, k, l, s), v in omega_jet.items():
-            if not all(1 <= x <= dim for x in (j, k, l, s)):
-                raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")
-            word = (Multivector.gamma(dim, j) * Multivector.gamma(dim, k)
-                    * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * Fraction(v))
-            per_s[s] = per_s.get(s, Multivector(dim)) + word
-        for s, mv in per_s.items():
-            if mv:
-                deg0._merge(((0,) * dim, 0, s), mv)
-    parts = {1: deg1}
-    if deg0:
-        parts[0] = deg0
-    return SymbolSum(dim, parts, budget=2)
+    potential = {0: torsion_form_multivector(t).scale(qi(0, Fraction(-1, 8)))}
+    for (j, k, l, s), v in (omega_jet or {}).items():
+        if not all(1 <= x <= dim for x in (j, k, l, s)):
+            raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")
+        word = (Multivector.gamma(dim, j) * Multivector.gamma(dim, k)
+                * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * Fraction(v))
+        potential[s] = potential.get(s, Multivector(dim)) + word
+    return first_order_symbol(dim, QQi(Fraction(1)), potential)
 
 
 def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
@@ -314,27 +312,31 @@ def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
     ((n-1)/2)-power composed with the parametrix of sqrt(D^2).
     """
     dim = d.dim
-    d2 = compose(d, d, 2)
+    d2 = compose(d, d)
     if dim % 2 == 0:
-        return negative_power(d2, dim // 2, 2)
-    inv_sqrt = parametrix(sqrt_symbol(d2, 2), 2)
+        return negative_power(d2, dim // 2)
+    inv_sqrt = parametrix(sqrt_symbol(d2))
     if dim == 1:
         return inv_sqrt
-    return compose(negative_power(d2, (dim - 1) // 2, 2), inv_sqrt, 2)
+    return compose(negative_power(d2, (dim - 1) // 2), inv_sqrt)
 
 
-def _zero_order_symbol(mv: Multivector, budget: int = 2) -> SymbolSum:
-    return SymbolSum(mv.dim, {0: HomogeneousSymbol(mv.dim, 0, {((0,) * mv.dim, 0, 0): mv})},
-                     budget) if mv else SymbolSum(mv.dim, {}, budget)
+def dirac_power(d: SymbolSum) -> SymbolSum:
+    """Symbol of D |D|^{-n} to two leading degrees, from the symbol d of D."""
+    return compose(d, inverse_power_symbol(d))
+
+
+def _zero_order_symbol(mv: Multivector) -> SymbolSum:
+    return SymbolSum(mv.dim, {0: HomogeneousSymbol(mv.dim, 0, {((0,) * mv.dim, 0, 0): mv})})
 
 
 def _residue_component(sym: SymbolSum, dim: int) -> HomogeneousSymbol:
     """The degree -n component; rejects symbols whose tracked window misses -n."""
     if sym.parts:
         lead = sym.leading_degree
-        if not (lead >= -dim > lead - sym.budget):
+        if not (lead >= -dim > lead - TRACKED):
             raise ValueError(f"degree -{dim} component not tracked (leading {lead}, "
-                             f"budget {sym.budget})")
+                             f"budget {TRACKED})")
     return sym.component(-dim)
 
 
@@ -358,19 +360,12 @@ def sphere_average(op: SymbolSum, dim: int) -> SymbolSum:
     misses -n.
     """
     avg = sphere_integrate(_residue_component(op, dim))
-    return SymbolSum(dim, {-dim: HomogeneousSymbol.radial(dim, -dim, avg)}, 2)
+    return SymbolSum(dim, {-dim: HomogeneousSymbol.radial(dim, -dim, avg)})
 
 
 def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     """W(P op) for a constant zero-order lead P, given averaged = sphere_average(op, n)."""
-    return residue_of_symbol(compose(_zero_order_symbol(lead), averaged, 2), averaged.dim)
-
-
-def _dirac_power(t: TorsionTensor, dim: int,
-                 omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
-    """Symbol of D_T |D_T|^{-n} to two leading degrees."""
-    d = dirac_symbol(t, dim, omega_jet)
-    return compose(d, inverse_power_symbol(d), 2)
+    return residue_of_symbol(compose(_zero_order_symbol(lead), averaged), averaged.dim)
 
 
 def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
@@ -381,7 +376,7 @@ def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     return lead_residue(u.action() * v.action() * w.action(),
-                        sphere_average(_dirac_power(t, dim, omega_jet), dim))
+                        sphere_average(dirac_power(dirac_symbol(t, dim, omega_jet)), dim))
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:
@@ -426,14 +421,16 @@ def chirality_functional(u: OneForm, t: TorsionTensor, dim: int = 4) -> ResidueV
         raise ValueError("chirality functional is defined for n = 4")
     if u.dim != 4 or t.dim != 4:
         raise ValueError("dimension mismatch among inputs")
-    return lead_residue(chirality(dim) * u.action(), sphere_average(_dirac_power(t, dim), dim))
+    return lead_residue(chirality(dim) * u.action(),
+                        sphere_average(dirac_power(dirac_symbol(t, dim)), dim))
 
 
 def spectral_closedness_check(p: Multivector, dim: int) -> ResidueValue:
     """W(P D |D|^{-n}) for a zero-order P and the torsion-free D; exactly 0."""
     if p.dim != dim:
         raise ValueError("dimension mismatch")
-    return lead_residue(p, sphere_average(_dirac_power(TorsionTensor.zero(dim), dim), dim))
+    d = dirac_symbol(TorsionTensor.zero(dim), dim)
+    return lead_residue(p, sphere_average(dirac_power(d), dim))
 
 
 def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:

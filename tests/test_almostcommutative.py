@@ -125,9 +125,9 @@ class TestEymModel:
         model = self._model(rng, dim, size)
         u, v, w = self._forms(rng, dim, size)
         d = eym_dirac_symbol(model)
-        op = compose(d, negative_power(compose(d, d, 2), dim // 2, 2), 2)
+        op = compose(d, negative_power(compose(d, d), dim // 2))
         lead = u.action() * v.action() * w.action()
-        want = residue_of_symbol(compose(_zero_order_symbol(lead), op, 2), dim)
+        want = residue_of_symbol(compose(_zero_order_symbol(lead), op), dim)
         assert lead_residue(lead, sphere_average(op, dim)) == want
         assert eym_torsion_density(model, u, v, w) == want
 
@@ -241,8 +241,8 @@ class TestDoubled:
         phi = qi(1, 2)
         span = doubled_spanning_forms(dim, phi)
         d = dirac_symbol(TorsionTensor.zero(dim), dim)
-        power = negative_power(compose(d, d, 2), dim // 2, 2)
-        d_power = compose(d, power, 2)
+        power = negative_power(compose(d, d), dim // 2)
+        d_power = compose(d, power)
         chi = chirality(dim)
         ev = DoubledEvaluator(dim)
         o1 = span[-2]
@@ -255,9 +255,9 @@ class TestDoubled:
                 want = ResidueValue(qi(0), dim)
                 for i, phase in ((0, phi.conj()), (1, phi)):
                     want = want + residue_of_symbol(
-                        compose(_zero_order_symbol(p[i][i]), d_power, 2), dim)
+                        compose(_zero_order_symbol(p[i][i]), d_power), dim)
                     want = want + residue_of_symbol(compose(
-                        _zero_order_symbol(p[i][1 - i] * chi.scale(phase)), power, 2), dim)
+                        _zero_order_symbol(p[i][1 - i] * chi.scale(phase)), power), dim)
                 assert ev.residue(o1, o2, o3) == want
                 nonzero += not want.is_zero()
         assert nonzero

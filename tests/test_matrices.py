@@ -121,6 +121,16 @@ def test_constructors():
     assert MatrixQQ.identity(3).trace() == qi(3)
 
 
+def test_unit_outside_the_index_range_rejected():
+    for i, j in ((5, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            MatrixQQ.unit(2, i, j)
+    for i in range(2):
+        for j in range(2):
+            assert MatrixQQ.unit(2, i, j).rows == tuple(
+                tuple(qi(int((r, c) == (i, j))) for c in range(2)) for r in range(2))
+
+
 def test_instances_are_immutable():
     m = MatrixQQ.identity(2)
     with pytest.raises(AttributeError):

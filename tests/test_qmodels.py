@@ -198,6 +198,31 @@ class TestTorusTraceIdentity:
         prod = torus_exp(h, 2.0, 4) * torus_exp(h, 1.0, 4)
         assert max(abs(t.trace()) for t in prod.orders) > 0.5
 
+    def test_shared_powers_match_three_exponentials(self, monkeypatch):
+        # the identity forms k = exp(t h) once and scales its orders into k^alpha
+        # and k^beta; here each of k^alpha, k and k^beta is its own exponential
+        seen = []
+
+        def spy(x, y):
+            seen.append((x, y))
+            return _paired_traces(x, y)
+        monkeypatch.setattr(qmodels, "_paired_traces", spy)
+        rng = Random(13)
+        for dim in (2, 3, 4):
+            theta = random_theta(rng, dim)
+            h = random_torus_h(rng, theta)   # drawn as `examples nctorus` draws it
+            for alpha, beta in ((0, 1), (2, -1), (3, 2)):
+                j = rng.randint(1, dim)
+                got = torus_trace_identity(h, alpha, beta, j, 9)
+                x_want = torus_exp(h, alpha, 9) * torus_exp(h, 1.0, 9).derive(j)
+                kb_want = torus_exp(h, beta, 9)
+                x_got, kb_got = seen.pop()
+                for a, b in zip(x_got.orders + kb_got.orders,
+                                x_want.orders + kb_want.orders, strict=True):
+                    assert a.distance(b) <= 1e-12 * max(1.0, b.norm1())
+                want = max(abs(t) for t in _paired_traces(x_want, kb_want))
+                assert abs(got - want) < 1e-12
+
 
 class TestPairedTraces:
     @staticmethod

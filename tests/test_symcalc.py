@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from spectral_torsion import (CurvatureJet, HomogeneousSymbol, Multivector,
-                              PiValue, SymbolSum, compose, moment,
+from spectral_torsion import (CurvatureJet, HomogeneousSymbol, MatrixQQ,
+                              Multivector, PiValue, SymbolSum, compose, moment,
                               negative_power, parametrix, qi, sphere_integrate,
                               sphere_volume, sqrt_symbol, unit_symbol)
 from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_is_zero, hs_mul
@@ -75,7 +75,7 @@ class TestCompose:
     def test_product_only_when_x_free(self):
         d = dirac_symbol(TorsionTensor.zero(3), 3)
         direct = hs_mul(d.component(1), d.component(1))
-        composed = compose(d, d, 2).component(2)
+        composed = compose(d, d).component(2)
         assert hs_is_zero(direct - composed)
 
     def test_first_order_correction(self):
@@ -84,18 +84,13 @@ class TestCompose:
         # so the degree-1 component of A#B must be -i xi_1.
         dim = 2
         one = Multivector.unit(dim)
-        a = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, one)])}, budget=2)
-        b = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 1, one)])}, budget=2)
-        got = compose(a, b, 2)
+        a = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, one)])})
+        b = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 1, one)])})
+        got = compose(a, b)
         lead = _sym(dim, 2, [((2, 0), 0, 1, one)])
         corr = _sym(dim, 1, [((1, 0), 0, 0, one.scale(qi(0, -1)))])
         assert hs_is_zero(got.component(2) - lead)
         assert hs_is_zero(got.component(1) - corr)
-
-    def test_budget_validation(self):
-        d = dirac_symbol(TorsionTensor.zero(3), 3)
-        with pytest.raises(ValueError):
-            compose(d, d, 5)
 
 
 class TestParametrix:
@@ -103,42 +98,57 @@ class TestParametrix:
         for dim in (3, 4):
             t = TorsionTensor(dim, {(1, 2, 3): Fraction(1, 2)})
             d = dirac_symbol(t, dim)
-            d2 = compose(d, d, 2)
-            p = parametrix(d2, 2)
-            assert _sums_equal(compose(p, d2, 2), unit_symbol(dim, 2))
+            d2 = compose(d, d)
+            p = parametrix(d2)
+            assert _sums_equal(compose(p, d2), unit_symbol(dim))
 
     def test_negative_power_composes(self):
         dim = 3
         d2 = compose(dirac_symbol(TorsionTensor.zero(dim), dim),
-                     dirac_symbol(TorsionTensor.zero(dim), dim), 2)
-        p2 = negative_power(d2, 2, 2)
+                     dirac_symbol(TorsionTensor.zero(dim), dim))
+        p2 = negative_power(d2, 2)
         # p2 * d2 should equal the single parametrix
-        assert _sums_equal(compose(p2, d2, 2), negative_power(d2, 1, 2))
+        assert _sums_equal(compose(p2, d2), negative_power(d2, 1))
         assert p2.leading_degree == -4
 
     def test_requires_scalar_leading(self):
         dim = 2
-        bad = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, Multivector.unit(dim))])},
-                        budget=2)
+        bad = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, Multivector.unit(dim))])})
         with pytest.raises(ValueError):
-            parametrix(bad, 2)
+            parametrix(bad)
+
+    @staticmethod
+    def _matrix_radial(m: MatrixQQ) -> SymbolSum:
+        """m * ||xi||^2 in dimension 2, with a matrix coefficient."""
+        return SymbolSum(2, {2: HomogeneousSymbol.radial(2, 2, Multivector.scalar(2, m))})
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 2]], [[1, 1], [0, 1]]])
+    def test_matrix_leading_must_be_a_multiple_of_the_unit(self, rows):
+        with pytest.raises(ValueError, match="not a multiple of the unit"):
+            parametrix(self._matrix_radial(MatrixQQ.from_rows(rows)))
+
+    def test_matrix_leading_multiple_of_the_unit_inverted(self):
+        p = parametrix(self._matrix_radial(MatrixQQ.identity(2) * 3))
+        third = Multivector.scalar(2, MatrixQQ.identity(2) * Fraction(1, 3))
+        assert set(p.parts) == {-2}
+        assert p.component(-2).terms == {((0, 0), -2, 0): third}
 
 
 class TestSqrt:
     def test_square_recovers_symbol(self):
         for dim in (3, 5):
             t = TorsionTensor(dim, {(1, 2, 3): Fraction(1, 3)})
-            d2 = compose(dirac_symbol(t, dim), dirac_symbol(t, dim), 2)
-            s = sqrt_symbol(d2, 2)
+            d2 = compose(dirac_symbol(t, dim), dirac_symbol(t, dim))
+            s = sqrt_symbol(d2)
             assert s.leading_degree == 1
-            assert _sums_equal(compose(s, s, 2), d2)
+            assert _sums_equal(compose(s, s), d2)
 
     def test_rejects_non_laplacian_leading(self):
         dim = 2
         a = SymbolSum(dim, {2: HomogeneousSymbol.radial(
-            dim, 2, Multivector.unit(dim).scale(qi(2)))}, budget=2)
+            dim, 2, Multivector.unit(dim).scale(qi(2)))})
         with pytest.raises(ValueError):
-            sqrt_symbol(a, 2)
+            sqrt_symbol(a)
 
 
 class TestMoments:

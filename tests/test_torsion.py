@@ -238,9 +238,9 @@ class TestSharedResiduePath:
             t = random_torsion(rng, dim, sparsity=1.0)
             u, v, w = (random_one_form(rng, dim) for _ in range(3))
             d = dirac_symbol(t, dim)
-            op = compose(d, inverse_power_symbol(d), 2)
+            op = compose(d, inverse_power_symbol(d))
             lead = u.action() * v.action() * w.action()
-            want = residue_of_symbol(compose(_zero_order_symbol(lead), op, 2), dim)
+            want = residue_of_symbol(compose(_zero_order_symbol(lead), op), dim)
             assert not want.is_zero()
             assert lead_residue(lead, sphere_average(op, dim)) == want
             assert torsion_functional(u, v, w, t, dim) == want
