@@ -12,6 +12,7 @@ or usage error, 3 internal error (one stderr line, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -496,7 +497,11 @@ def cmd_examples(cfg: RunConfig) -> Dict[str, Any]:
 
 # entry point ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main call.
+
+    parse_args keeps no state between calls: each returns a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="spectral-torsion",
         description="Exact verification of the spectral torsion functional "

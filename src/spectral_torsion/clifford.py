@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 from .scalars import QQi, ScalarLike
 
@@ -47,6 +47,13 @@ def reduce_word(indices: Sequence[int]) -> Tuple[int, IndexWord]:
                 sign = -sign
             out.insert(p, x)
     return sign, tuple(out)
+
+
+# (w1, w2) -> reduce_word(w1 + w2) for canonical words, filled on first use.
+# The product of two canonical words does not depend on the dimension or the
+# coefficient ring, so one table serves every Multivector; it holds at most
+# 4^n pairs for the largest n reached.
+_WORD_PRODUCTS: Dict[Tuple[IndexWord, IndexWord], Tuple[int, IndexWord]] = {}
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,13 @@ class Multivector:
         if isinstance(other, Multivector):
             self._same_dim(other)
             out: Dict[IndexWord, object] = {}
+            table = _WORD_PRODUCTS
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    sign, word = reduce_word(w1 + w2)
+                    product = table.get((w1, w2))
+                    if product is None:
+                        product = table[w1, w2] = reduce_word(w1 + w2)
+                    sign, word = product
                     coeff = c1 * c2
                     if sign < 0:
                         coeff = -coeff

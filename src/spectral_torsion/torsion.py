@@ -336,7 +336,7 @@ def _residue_component(sym: SymbolSum, dim: int) -> HomogeneousSymbol:
         lead = sym.leading_degree
         if not (lead >= -dim > lead - TRACKED):
             raise ValueError(f"degree -{dim} component not tracked (leading {lead}, "
-                             f"budget {TRACKED})")
+                             f"tracked {TRACKED})")
     return sym.component(-dim)
 
 

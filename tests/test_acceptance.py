@@ -20,7 +20,6 @@ from spectral_torsion import (
     GammaWord,
     MatrixOneForm,
     MatrixQQ,
-    Multivector,
     OneForm,
     QuantumDiscElement,
     ResidueValue,
@@ -36,7 +35,6 @@ from spectral_torsion import (
     metric_functional,
     moment,
     mul,
-    pipeline_coefficient,
     qi,
     random_anti_hermitian_traceless,
     random_one_form,

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,10 @@ import spectral_torsion.cli as cli
 from spectral_torsion.cli import format_complex, main, scalar_json
 from spectral_torsion.scalars import qi
 from spectral_torsion.torsion import ResidueValue
+
+from test_golden import MASKED_REPORTS, REPORTS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -356,3 +364,88 @@ class TestReportPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["examples", "unknown-model"])
         assert exc.value.code == 2
+
+
+def standalone_python(code: str, *argv):
+    """(exit code, stdout, stderr) of a fresh interpreter running code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def standalone(*argv):
+    """(exit code, stdout, stderr) of the CLI call made in a process of its own."""
+    return standalone_python(
+        "import sys; from spectral_torsion.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+
+
+def unmask(text: str) -> dict:
+    """A report with its timestamp and per-check elapsed times blanked."""
+    rep = json.loads(text)
+    rep["timestamp"] = ""
+    for check in rep["checks"]:
+        if "elapsed_ms" in check:
+            check["elapsed_ms"] = 0.0
+    return rep
+
+
+class TestParserReuse:
+    """main builds its parser once per process; nothing carries over between calls."""
+
+    def test_parser_is_not_built_at_import(self):
+        code, out, err = standalone_python(
+            "import spectral_torsion.cli as cli; print(cli.build_parser.cache_info().currsize)")
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_calls_in_one_process_match_calls_on_their_own(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        load_config = cli.load_config
+
+        def spy(args):
+            cfg = load_config(args)
+            seen.append((vars(args), cfg.mask_timing))
+            return cfg
+        monkeypatch.setattr(cli, "load_config", spy)
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({
+            "dims": [4], "torsion": [{"indices": [1, 2, 4], "value": "2/3"}],
+            "u": ["1", "0", "2", "0"], "v": ["0", "1", "0", "1/2"], "w": ["1", "1", "1", "1"]}))
+        eym = ["examples", "eym", "--dims", "2,4", "--size", "3", "--mask-timing"]
+        usage = ["verify", "--trials", "x"]
+        unmasked = ["eval", "--config", str(config)]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            cap = capsys.readouterr()
+            return code, cap.out, cap.err
+
+        got_eym = call(eym)
+        got_usage = call(usage)
+        got_eval = call(unmasked)
+        got_golden = {name: call(argv + ["--mask-timing"])
+                      for name, argv in sorted(MASKED_REPORTS.items())}
+
+        assert got_eym == standalone(*eym)
+        assert got_eym[0] == 0
+        assert got_usage == standalone(*usage)
+        assert got_usage[0] == 2 and got_usage[1] == ""
+        code, out, err = standalone(*unmasked)
+        assert (got_eval[0], unmask(got_eval[1]), got_eval[2]) == (code, unmask(out), err)
+        assert json.loads(got_eval[1])["timestamp"] != ""
+        for name, (code, out, err) in got_golden.items():
+            want = (REPORTS / name).read_text()
+            assert (code, out, err) == (0 if json.loads(want)["pass"] else 1, want, "")
+
+        # every parse that reached load_config matches a fresh parser's, and
+        # mask_timing is False again on the one call made without the flag
+        fresh = cli.build_parser.__wrapped__
+        argvs = [eym, unmasked] + [argv + ["--mask-timing"] for _, argv in
+                                   sorted(MASKED_REPORTS.items())]
+        assert [args for args, _ in seen] == [vars(fresh().parse_args(a)) for a in argvs]
+        assert [mask for _, mask in seen] == [True, False] + [True] * len(MASKED_REPORTS)
+        assert cli.build_parser.cache_info().misses == 1

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_torsion import (MatrixQQ, Multivector, chirality, clifford_action,
-                              clifford_trace, mul, qi, reduce_word, trace_power)
+from spectral_torsion import (GammaWord, MatrixQQ, Multivector, canonicalize, chirality,
+                              clifford_action, clifford_trace, mul, qi, reduce_word,
+                              trace_power)
+import spectral_torsion.clifford as clifford
 
 from oracle import matrix_trace, multivector_matrix, word_matrix
 
@@ -96,6 +99,55 @@ class TestMultivector:
     def test_clifford_action(self):
         v = clifford_action((Fraction(1), Fraction(0), Fraction(2)), 3)
         assert v == canon_term(3, (1,), qi(1)) + canon_term(3, (3,), qi(2))
+
+
+class TestWordTable:
+    """Multivector products read each word pair's reduce_word result from one
+    shared table, filled on first use."""
+
+    DIM = 5
+    WORDS = [w for k in range(6) for w in combinations(range(1, 6), k)]
+    A, B = qi(2, -1), qi(Fraction(1, 3), 4)
+
+    def _basis_products(self):
+        return {(w1, w2): Multivector(self.DIM, {w1: self.A}) * Multivector(self.DIM, {w2: self.B})
+                for w1 in self.WORDS for w2 in self.WORDS}
+
+    def test_basis_products_from_a_cold_and_a_warm_table(self, monkeypatch):
+        assert len(self.WORDS) == 32
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return reduce_word(word)
+        monkeypatch.setattr(clifford, "_WORD_PRODUCTS", {})
+        monkeypatch.setattr(clifford, "reduce_word", counted)
+        cold = self._basis_products()
+        assert len(calls) == len(clifford._WORD_PRODUCTS) == 32 * 32
+        warm = self._basis_products()
+        assert len(calls) == 32 * 32
+        assert warm == cold
+        for (w1, w2), got in cold.items():
+            assert got == canonicalize(GammaWord(w1 + w2, self.A * self.B), self.DIM)
+
+    def test_matrix_coefficients_match_a_reduce_word_reference(self):
+        rng = Random(12)
+        dim = 4
+
+        def draw():
+            words = {tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim))))
+                     for _ in range(6)}
+            return {w: MatrixQQ([[qi(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(2)]
+                                 for _ in range(2)]) for w in words}
+        a, b = draw(), draw()
+        want = {}
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                sign, word = reduce_word(w1 + w2)
+                want[word] = want.get(word, MatrixQQ.zero(2)) + c1 * c2 * qi(sign)
+        want = {w: c for w, c in want.items() if c}
+        assert len(want) > 4
+        assert (Multivector(dim, a) * Multivector(dim, b)).terms == want
 
 
 class TestTrace:

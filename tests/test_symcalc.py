@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from random import Random
 
 import pytest
 

@@ -249,7 +249,7 @@ class TestSharedResiduePath:
         # D_T alone tracks degrees 1 and 0, so degree -4 is outside its window
         dim = 4
         op = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
-        message = r"degree -4 component not tracked \(leading 1, budget 2\)"
+        message = r"degree -4 component not tracked \(leading 1, tracked 2\)"
         with pytest.raises(ValueError, match=message):
             sphere_average(op, dim)
         with pytest.raises(ValueError, match=message):
