@@ -8,7 +8,7 @@ torus, and the quantum-disc boundary of SU_q(2).
 from __future__ import annotations
 
 from .clifford import (GammaWord, Multivector, canonicalize, chirality,
-                       clifford_action, clifford_trace, mul, reduce_word,
+                       clifford_action, clifford_trace, reduce_word,
                        trace_power)
 from .matrices import MatrixQQ
 from .scalars import QQi, parse_complex_rational, parse_rational, qi
@@ -56,7 +56,7 @@ __all__ = [
     "doubled_residue", "doubled_spanning_forms", "doubled_torsion_free_test",
     "eym_dirac_symbol", "eym_torsion_density", "inverse_power_symbol",
     "lead_residue", "left_mult_matrix", "levi_civita_from_structure",
-    "metric_functional", "moment", "mul", "negative_power", "parametrix",
+    "metric_functional", "moment", "negative_power", "parametrix",
     "parse_complex_rational", "parse_rational", "pipeline_coefficient", "qi",
     "random_anti_hermitian_traceless", "random_contorsion",
     "random_fraction", "random_one_form", "random_qqi", "random_theta",

@@ -176,7 +176,7 @@ def _int_option(value, name: str, least: Optional[int] = None) -> int:
     return n
 
 
-_DEFAULT_DIMS = {"eval": (3,), "doubled": (4,), "nctorus": (2, 3)}
+_DEFAULT_DIMS = {"eval": (3,), "doubled": (4,), "eym": (2, 4), "nctorus": (2, 3)}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:

@@ -8,15 +8,24 @@ m = n/2 for even n and m = (n+1)/2 for odd n; the odd case is the trace of the
 doubled representation g -> diag(g, -g), under which every odd-length word
 (epsilon-type words included) has trace zero, so the even-n pairing rule holds
 verbatim in all dimensions.
+
+Products read each pair of canonical words from one shared table of
+reduce_word results.  When every coefficient of both factors is a QQi, the
+product runs one integer kernel: each output word accumulates a Gaussian-integer
+numerator over one denominator and is reduced to a canonical QQi once, at the
+end.  Any other coefficient ring (MatrixQQ, or QQi on one side and MatrixQQ on
+the other) takes the generic path, one ring multiplication and addition per
+pair of words.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import QQi, ScalarLike
+from .scalars import QQi, ScalarLike, _reduced
 
 IndexWord = Tuple[int, ...]
 
@@ -54,6 +63,76 @@ def reduce_word(indices: Sequence[int]) -> Tuple[int, IndexWord]:
 # coefficient ring, so one table serves every Multivector; it holds at most
 # 4^n pairs for the largest n reached.
 _WORD_PRODUCTS: Dict[Tuple[IndexWord, IndexWord], Tuple[int, IndexWord]] = {}
+
+
+_QQiTerms = List[Tuple[IndexWord, int, int, int]]
+
+
+def _qqi_terms(terms: Dict[IndexWord, object]) -> Optional[_QQiTerms]:
+    """[(word, a, b, d)] with each coefficient (a + b*i)/d, or None unless every
+    coefficient is a QQi."""
+    out = []
+    for word, c in terms.items():
+        if type(c) is not QQi:
+            return None
+        out.append((word, c._a, c._b, c._d))
+    return out
+
+
+def _mul_qqi(left: _QQiTerms, right: _QQiTerms) -> Dict[IndexWord, QQi]:
+    """The product's terms over QQi, from two _qqi_terms lists.
+
+    Each output word accumulates one Gaussian-integer numerator over one
+    denominator, rescaled only when a contribution's denominator differs;
+    each sum is reduced once at the end and zero sums are dropped."""
+    table = _WORD_PRODUCTS
+    acc: Dict[IndexWord, list] = {}
+    for w1, a1, b1, d1 in left:
+        for w2, a2, b2, d2 in right:
+            product = table.get((w1, w2))
+            if product is None:
+                product = table[w1, w2] = reduce_word(w1 + w2)
+            sign, word = product
+            re, im, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            if sign < 0:
+                re, im = -re, -im
+            slot = acc.get(word)
+            if slot is None:
+                acc[word] = [re, im, d]
+            elif slot[2] == d:
+                slot[0] += re
+                slot[1] += im
+            else:
+                e = slot[2]
+                g = gcd(d, e)
+                s, t = d // g, e // g
+                slot[0] = slot[0] * s + re * t
+                slot[1] = slot[1] * s + im * t
+                slot[2] = e * s
+    return {w: _reduced(re, im, d) for w, (re, im, d) in acc.items() if re or im}
+
+
+def _mul_generic(left: Dict[IndexWord, object],
+                 right: Dict[IndexWord, object]) -> Dict[IndexWord, object]:
+    """The product's terms for any coefficient ring, one ring operation per pair."""
+    out: Dict[IndexWord, object] = {}
+    table = _WORD_PRODUCTS
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            product = table.get((w1, w2))
+            if product is None:
+                product = table[w1, w2] = reduce_word(w1 + w2)
+            sign, word = product
+            coeff = c1 * c2
+            if sign < 0:
+                coeff = -coeff
+            acc = out.get(word)
+            acc = coeff if acc is None else acc + coeff
+            if acc:
+                out[word] = acc
+            else:
+                out.pop(word, None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,25 +216,14 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._same_dim(other)
-            out: Dict[IndexWord, object] = {}
-            table = _WORD_PRODUCTS
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    product = table.get((w1, w2))
-                    if product is None:
-                        product = table[w1, w2] = reduce_word(w1 + w2)
-                    sign, word = product
-                    coeff = c1 * c2
-                    if sign < 0:
-                        coeff = -coeff
-                    acc = out.get(word)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc:
-                        out[word] = acc
-                    else:
-                        out.pop(word, None)
             r = Multivector(self.dim)
-            r.terms = out
+            # most block products of the doubled space have an empty factor
+            if not self.terms or not other.terms:
+                return r
+            left = _qqi_terms(self.terms)
+            right = _qqi_terms(other.terms) if left is not None else None
+            r.terms = (_mul_generic(self.terms, other.terms) if right is None
+                       else _mul_qqi(left, right))
             return r
         if isinstance(other, (int, Fraction, QQi)):
             return self.scale(other)
@@ -216,10 +284,6 @@ def canonicalize(word: GammaWord, dim: int) -> Multivector:
     sign, canon = reduce_word(word.indices)
     coeff = word.scalar if sign > 0 else -word.scalar
     return Multivector(dim, {canon: coeff} if coeff else {})
-
-
-def mul(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
 
 
 def trace_power(dim: int) -> int:

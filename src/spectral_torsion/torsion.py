@@ -8,10 +8,11 @@ coefficients, symbolic sphere moments, the volume V(S^{n-1}) carried as a
 unit.  Results are densities at the base point ("per unit volume"): the
 global residue is this density integrated over the manifold.
 
-The Dirac operator with torsion acts as D_T = D - (i/8) T_{jkl} g^j g^k g^l
-for a totally antisymmetric torsion tensor T, giving the full symbol
-sigma(D_T) = -g^j xi_j - (i/8) T_{jkl} g^j g^k g^l (plus an optional x-linear
-Levi-Civita term used by the curvature-independence tests).
+The Dirac operator with torsion acts as D_T = D - i*kappa T_{jkl} g^j g^k g^l
+for a totally antisymmetric torsion tensor T, with kappa = TORSION_KAPPA = 1/8,
+giving the full symbol sigma(D_T) = -g^j xi_j - i*kappa T_{jkl} g^j g^k g^l
+(plus an optional x-linear Levi-Civita term used by the curvature-independence
+tests).  The residue is linear in kappa.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ from .symcalc import (TRACKED, HomogeneousSymbol, SymbolSum, compose, negative_p
                       parametrix, sphere_integrate, sphere_volume, sqrt_symbol)
 
 OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
+
+# kappa in D_T = D - i*kappa T_{jkl} g^j g^k g^l
+TORSION_KAPPA = Fraction(1, 8)
 
 
 def _frac(x) -> Fraction:
@@ -289,13 +293,14 @@ def dirac_symbol(t: TorsionTensor, dim: int,
                  omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
     """Full symbol of D_T in normal coordinates at the base point.
 
-    Degree 1: -g^j xi_j.  Degree 0: -(i/8) T_{jkl} g^j g^k g^l, plus the
-    x-linear Levi-Civita part -(i/4) omega_{jkl;s} g^j g^k g^l x_s when a
-    connection jet is supplied (it cannot change the residue; tests prove so).
+    Degree 1: -g^j xi_j.  Degree 0: -i*kappa T_{jkl} g^j g^k g^l with
+    kappa = TORSION_KAPPA, plus the x-linear Levi-Civita part
+    -(i/4) omega_{jkl;s} g^j g^k g^l x_s when a connection jet is supplied (it
+    cannot change the residue; tests prove so).
     """
     if t.dim != dim:
         raise ValueError("torsion dimension mismatch")
-    potential = {0: torsion_form_multivector(t).scale(qi(0, Fraction(-1, 8)))}
+    potential = {0: torsion_form_multivector(t).scale(qi(0, -TORSION_KAPPA))}
     for (j, k, l, s), v in (omega_jet or {}).items():
         if not all(1 <= x <= dim for x in (j, k, l, s)):
             raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")

@@ -1,8 +1,8 @@
 """Independent oracles the tests compare against: explicit gamma matrices via
 Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
 expansion of the torsion residue that bypasses the parametrix machinery, the
-dense matrix product over QQi entries, and the noncommutative-torus product one
-pair of modes at a time."""
+dense matrix product over QQi entries, the Clifford product one word pair at a
+time, and the noncommutative-torus product one pair of modes at a time."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ import numpy as np
 
 from spectral_torsion import (MatrixQQ, Multivector, OneForm, QQi,
                               ResidueValue, TorsionTensor, TorusElement, clifford_trace,
-                              qi)
+                              qi, reduce_word)
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -80,6 +80,21 @@ def multivector_matrix(mv: Multivector) -> MatrixQQ:
 
 def matrix_trace(mv: Multivector) -> QQi:
     return multivector_matrix(mv).trace()
+
+
+def reference_product(a: Multivector, b: Multivector) -> Multivector:
+    """a * b one word pair at a time: reduce_word on the joined words and plain
+    ring arithmetic on the coefficients (QQi, MatrixQQ or one of each), with no
+    word table and no integer kernel."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            sign, word = reduce_word(w1 + w2)
+            term = c1 * c2 * qi(sign)
+            out[word] = out[word] + term if word in out else term
+    return Multivector(a.dim, out)
 
 
 def torsion_cube(t: TorsionTensor) -> Multivector:

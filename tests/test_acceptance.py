@@ -34,7 +34,6 @@ from spectral_torsion import (
     eym_torsion_density,
     metric_functional,
     moment,
-    mul,
     qi,
     random_anti_hermitian_traceless,
     random_one_form,
@@ -170,7 +169,7 @@ def test_criterion_02_torsion_detection():
 
 
 def test_criterion_03_clifford_matrix_oracle():
-    """canonicalize/mul/trace against explicit Pauli tensor-product gamma
+    """canonicalize, products and the trace against explicit Pauli tensor-product gamma
     matrices: 200 random words of length <= 8 for n in {2,4,6}."""
     for dim in (2, 4, 6):
         rng = Random(300 + dim)
@@ -183,7 +182,7 @@ def test_criterion_03_clifford_matrix_oracle():
             k = len(word) // 2
             left = canonicalize(GammaWord(word[:k]), dim)
             right = canonicalize(GammaWord(word[k:]), dim)
-            assert mul(left, right) == mv
+            assert left * right == mv
     _line(3, True, "600 words match the gamma-matrix oracle exactly (n=2,4,6)")
 
 

@@ -147,6 +147,12 @@ class TestExamples:
         assert rep["pass"] is True
         assert any(c["name"].startswith("eym-density") for c in rep["checks"])
 
+    def test_eym_default_dims_are_even(self, capsys):
+        rc, rep, _ = run_json(capsys, "examples", "eym")
+        assert rc == 0
+        assert rep["config"]["dims"] == [2, 4]
+        assert rep["pass"] is True
+
     def test_eym_rejects_odd_dim(self, capsys):
         rc, _, err = run(capsys, "examples", "eym", "--dims", "3")
         assert rc == 2

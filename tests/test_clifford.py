@@ -2,18 +2,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_torsion import (GammaWord, MatrixQQ, Multivector, canonicalize, chirality,
-                              clifford_action, clifford_trace, mul, qi, reduce_word,
+from spectral_torsion import (GammaWord, MatrixQQ, Multivector, QQi, canonicalize, chirality,
+                              clifford_action, clifford_trace, qi, reduce_word,
                               trace_power)
 import spectral_torsion.clifford as clifford
 
-from oracle import matrix_trace, multivector_matrix, word_matrix
+from oracle import matrix_trace, multivector_matrix, reference_product, word_matrix
 
 
 class TestReduceWord:
@@ -81,7 +82,7 @@ class TestMultivector:
         rng = Random(3)
         for _ in range(10):
             a, b, c = (_random_multivector(rng, 4) for _ in range(3))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert (a * b) * c == a * (b * c)
 
     def test_grades(self):
         x = canon_term(4, (1, 2), qi(1)) + canon_term(4, (3,), qi(2)) \
@@ -148,6 +149,126 @@ class TestWordTable:
         want = {w: c for w, c in want.items() if c}
         assert len(want) > 4
         assert (Multivector(dim, a) * Multivector(dim, b)).terms == want
+
+
+# Gaussian rationals with denominators 1..12 in each part, real, imaginary or mixed
+_parts = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_coeffs = st.one_of(st.builds(qi, _parts), st.builds(lambda y: qi(0, y), _parts),
+                    st.builds(qi, _parts, _parts))
+
+
+@st.composite
+def _qqi_multivector(draw, dim: int) -> Multivector:
+    words = st.frozensets(st.integers(1, dim)).map(lambda ws: tuple(sorted(ws)))
+    return Multivector(dim, draw(st.dictionaries(words, _coeffs, max_size=12)))
+
+
+@st.composite
+def _qqi_pair(draw):
+    dim = draw(st.integers(1, 6))
+    return draw(_qqi_multivector(dim)), draw(_qqi_multivector(dim))
+
+
+def _assert_canonical_terms(x: Multivector) -> None:
+    for c in x.terms.values():
+        assert type(c) is QQi
+        assert c and c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+class TestQQiKernel:
+    """Products with QQi coefficients on both sides go through one integer
+    kernel; it must agree, field for field, with the pair-by-pair reference."""
+
+    @given(_qqi_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pair_by_pair_reference(self, pair):
+        a, b = pair
+        got = a * b
+        assert got.dim == a.dim
+        assert got.terms == reference_product(a, b).terms
+        _assert_canonical_terms(got)
+
+    @given(_qqi_pair(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_product_through_one_minus_g_squared_cancels(self, pair, data):
+        # x(1 + g) times (1 - g)y is x(1 - g^2)y = 0: every word cancels
+        x, y = pair
+        g = Multivector.gamma(x.dim, data.draw(st.integers(1, x.dim)))
+        one = Multivector.unit(x.dim)
+        left, right = x * (one + g), (one - g) * y
+        assert (left * right).terms == {}
+
+    def test_cancelled_words_are_absent(self):
+        g1, g2 = Multivector.gamma(4, 1), Multivector.gamma(4, 2)
+        third, quarter_i = qi(Fraction(1, 3)), qi(0, Fraction(1, 4))
+        # (g1 + g2)(g1 - g2) = 1 - g1g2 + g2g1 - 1 = -2 g1g2
+        assert ((g1 + g2) * (g1 - g2)).terms == {(1, 2): qi(-2)}
+        # both sides scaled, with different denominators: the scalar word cancels
+        got = (g1 + g2).scale(third) * (g1 - g2).scale(quarter_i)
+        assert got.terms == {(1, 2): qi(0, Fraction(-1, 6))}
+        one = Multivector.unit(4)
+        assert ((one + g1).scale(third) * (one - g1).scale(quarter_i)).terms == {}
+
+    @given(_qqi_pair(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_values_built_two_ways_are_equal_and_hash_equal(self, pair, data):
+        a, b = pair
+        c = data.draw(_qqi_multivector(a.dim))
+        left, right = (a * b) * c, a * (b * c)
+        # QQi == compares the three ints, so equal terms mean equal fields
+        assert left == right and hash(left) == hash(right)
+        _assert_canonical_terms(left)
+
+    def test_reduced_coefficients_equal_their_rational(self):
+        # (1/2 g1)(2/3 g1) = 1/3, reached over the unreduced denominator 6
+        a = Multivector(3, {(1,): qi(Fraction(1, 2))})
+        b = Multivector(3, {(1,): qi(Fraction(2, 3))})
+        got = a * b
+        assert got == Multivector.scalar(3, Fraction(1, 3))
+        assert hash(got) == hash(Multivector.scalar(3, Fraction(1, 3)))
+        c = got.scalar_part()
+        assert (c._a, c._b, c._d) == (1, 0, 3)
+        assert hash(c) == hash(Fraction(1, 3))
+
+    @given(_qqi_pair())
+    @settings(max_examples=20, deadline=None)
+    def test_empty_operand_on_either_side(self, pair):
+        a, _ = pair
+        zero = Multivector(a.dim)
+        for got in (zero * a, a * zero, zero * zero):
+            assert got.dim == a.dim and got.terms == {}
+        m = Multivector(a.dim, {(): MatrixQQ.identity(2)})
+        assert (zero * m).terms == (m * zero).terms == {}
+
+    def test_dimension_mismatch_with_an_empty_operand_raises(self):
+        for a, b in ((Multivector(3), Multivector(4)),
+                     (Multivector(3), Multivector.gamma(4, 1)),
+                     (Multivector.gamma(3, 1), Multivector(4))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                a * b
+
+    def test_qqi_times_matrix_coefficients_take_the_generic_path(self, monkeypatch):
+        rng = Random(21)
+        dim = 4
+
+        def words():
+            return {tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim))))
+                    for _ in range(6)}
+        scalars = Multivector(dim, {w: qi(Fraction(rng.randint(-6, 6), rng.randint(1, 12)),
+                                          Fraction(rng.randint(-6, 6), rng.randint(1, 12)))
+                                    for w in words()})
+        matrices = Multivector(dim, {w: MatrixQQ([[qi(rng.randint(-3, 3), rng.randint(-2, 2))
+                                                   for _ in range(2)] for _ in range(2)])
+                                     for w in words()})
+
+        def no_kernel(left, right):
+            raise AssertionError("the QQi kernel ran on MatrixQQ coefficients")
+        monkeypatch.setattr(clifford, "_mul_qqi", no_kernel)
+        for a, b in ((scalars, matrices), (matrices, scalars)):
+            got = a * b
+            assert len(got.terms) > 4
+            assert all(type(c) is MatrixQQ for c in got.terms.values())
+            assert got.terms == reference_product(a, b).terms
 
 
 class TestTrace:

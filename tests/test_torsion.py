@@ -17,7 +17,7 @@ from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
 from spectral_torsion.sampling import (random_contorsion, random_one_form,
                                        random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose
-from spectral_torsion.torsion import (_zero_order_symbol, dirac_symbol,
+from spectral_torsion.torsion import (TORSION_KAPPA, _zero_order_symbol, dirac_symbol,
                                       inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
                                       torsion_components_from_contorsion,
@@ -263,6 +263,14 @@ class TestKernels:
         t = random_torsion(Random(400 + dim), dim, sparsity=1.0)
         assert t.entries
         assert torsion_form_multivector(t) == torsion_cube(t)
+
+    def test_dirac_potential_is_minus_i_kappa_times_the_cube(self):
+        # the default convention D_T = D - (i/8) T_jkl g^j g^k g^l
+        assert TORSION_KAPPA == Fraction(1, 8)
+        dim = 5
+        t = random_torsion(Random(450), dim, sparsity=1.0)
+        potential = dirac_symbol(t, dim).parts[0].terms[((0,) * dim, 0, 0)]
+        assert potential == torsion_cube(t).scale(qi(0, Fraction(-1, 8)))
 
     @pytest.mark.parametrize("dim,sparsity", [(n, s) for n in range(3, 9) for s in (1.0, 0.5)]
                              + [(10, 1.0)])
