@@ -85,6 +85,8 @@ MASKED_REPORTS = {
     "doubled-4.json": ["examples", "doubled", "--dims", "4", "--phi", "1+2i"],
     "eym-2.json": ["examples", "eym", "--dims", "2", "--size", "2"],
     "eym-2-4-size3.json": ["examples", "eym", "--dims", "2,4", "--size", "3", "--trials", "2"],
+    "nctorus-2-3.json": ["examples", "nctorus", "--dims", "2,3", "--trials", "2", "--K", "4"],
+    "suq2-N200.json": ["examples", "suq2", "--N", "200"],
 }
 
 
