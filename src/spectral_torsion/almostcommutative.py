@@ -17,7 +17,7 @@ parity pattern is handled uniformly and routes to the torsion-free pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .clifford import Multivector, chirality, clifford_action
 from .matrices import MatrixQQ
@@ -181,6 +181,17 @@ class DoubledOneForm:
         return self._blocks
 
 
+def _block_product(a, b, dim: int) -> List[List[Multivector]]:
+    """The 2x2 block product a b; most blocks of a spanning scan are empty, and a
+    pair holding one is skipped rather than multiplied."""
+    def entry(i: int, j: int) -> Multivector:
+        parts = [a[i][k] * b[k][j] for k in (0, 1) if a[i][k] and b[k][j]]
+        if not parts:
+            return Multivector(dim)
+        return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    return [[entry(i, j) for j in (0, 1)] for i in (0, 1)]
+
+
 class DoubledEvaluator:
     """Caches the sphere-averaged torsion-free base symbols for repeated doubled residues."""
 
@@ -201,11 +212,8 @@ class DoubledEvaluator:
         if not (o1.phi == o2.phi == o3.phi):
             raise ValueError("one-forms built over different Phi")
         phi = o1.phi
-        b1, b2, b3 = o1.blocks(), o2.blocks(), o3.blocks()
-        prod12 = [[b1[i][0] * b2[0][j] + b1[i][1] * b2[1][j] for j in (0, 1)]
-                  for i in (0, 1)]
-        p = [[prod12[i][0] * b3[0][j] + prod12[i][1] * b3[1][j] for j in (0, 1)]
-             for i in (0, 1)]
+        p12 = _block_product(o1.blocks(), o2.blocks(), self.dim)
+        p = _block_product(p12, o3.blocks(), self.dim)
         total = ResidueValue(QQi(), self.dim)
         # (P D_doubled)_{ii} = P_{ii} D + P_{i,other} chi Phi^{(*)}
         for i, phase in ((0, phi.conj()), (1, phi)):
@@ -216,16 +224,14 @@ class DoubledEvaluator:
         return total
 
 
-def doubled_residue(o1: DoubledOneForm, o2: DoubledOneForm, o3: DoubledOneForm,
-                    evaluator: Optional[DoubledEvaluator] = None) -> ResidueValue:
+def doubled_residue(o1: DoubledOneForm, o2: DoubledOneForm, o3: DoubledOneForm) -> ResidueValue:
     """W(o1 o2 o3 D_doubled |D_doubled|^{-n}), exact.
 
     |D_doubled|^{-n} differs from |D|^{-n} (x) 1 only below the tracked degrees
     (D_doubled^2 = D^2 + |Phi|^2 adds a degree-0 term, first visible at degree
     -n-2), so the base-space power symbol is exact here.
     """
-    ev = evaluator or DoubledEvaluator(o1.dim)
-    return ev.residue(o1, o2, o3)
+    return DoubledEvaluator(o1.dim).residue(o1, o2, o3)
 
 
 def doubled_spanning_forms(dim: int, phi: ScalarLike) -> List[DoubledOneForm]:

@@ -19,10 +19,10 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
-                                adjoint_trace, doubled_residue,
+from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
+                                MatrixOneForm, adjoint_trace,
                                 doubled_torsion_free_test, eym_torsion_density)
 from .matrices import MatrixQQ
 from .qmodels import (ConvergenceError, QuantumDiscElement, Suq2DiracSpec,
@@ -124,7 +124,12 @@ class RunConfig:
         return d
 
 
-def _parse_dims(text: str) -> List[int]:
+def _parse_dims(text) -> List[int]:
+    """--dims, or the config's dims: a comma-separated string or a list."""
+    if isinstance(text, list):
+        text = ",".join(str(x) for x in text)
+    elif not isinstance(text, str):
+        raise ConfigError(f"dims must be a list or a comma-separated string, got {text!r}")
     try:
         dims = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -138,8 +143,13 @@ def _parse_dims(text: str) -> List[int]:
 
 
 def _torsion_from_config(entries, dim: int) -> TorsionTensor:
+    if not isinstance(entries, list):
+        raise ConfigError(f"torsion must be a list of entries, got {entries!r}")
     parsed = {}
     for item in entries:
+        # a string of digits would pass as a list of indices
+        if not (isinstance(item, dict) and isinstance(item.get("indices"), list)):
+            raise ConfigError(f"malformed torsion entry {item!r}")
         try:
             idx = tuple(int(i) for i in item["indices"])
             val = parse_rational(str(item["value"]))
@@ -154,6 +164,8 @@ def _torsion_from_config(entries, dim: int) -> TorsionTensor:
 
 
 def _one_form_from_config(arr, dim: int, name: str) -> OneForm:
+    if not isinstance(arr, list):
+        raise ConfigError(f"one-form {name} must be a list of components, got {arr!r}")
     try:
         comps = tuple(parse_rational(str(x)) for x in arr)
     except ValueError as exc:
@@ -176,9 +188,6 @@ def _int_option(value, name: str, least: Optional[int] = None) -> int:
     return n
 
 
-_DEFAULT_DIMS = {"eval": (3,), "doubled": (4,), "eym": (2, 4), "nctorus": (2, 3)}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     filecfg: Dict[str, Any] = {}
     if getattr(args, "config", None):
@@ -190,49 +199,44 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(filecfg, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    def pick(flag: str, key: str, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return filecfg.get(key, default)
+    def pick(name: str, default):
+        v = getattr(args, name, None)
+        return v if v is not None else filecfg.get(name, default)
 
     cfg = RunConfig(command=args.command)
     cfg.which = getattr(args, "which", None)
-    dims_raw = pick("dims", "dims", None)
-    if dims_raw is None:
-        cfg.dims = list(_DEFAULT_DIMS.get(cfg.which or cfg.command, (3, 4)))
-    elif isinstance(dims_raw, str):
-        cfg.dims = _parse_dims(dims_raw)
-    else:
-        cfg.dims = _parse_dims(",".join(str(x) for x in dims_raw))
-    # these two run at one n; the report echoes dims, so a longer list would
-    # claim runs that never happen
-    single = {"eval": "eval", "doubled": "examples doubled"}.get(cfg.which or cfg.command)
-    if single and len(cfg.dims) > 1:
-        raise ConfigError(f"{single} takes one dimension, got dims {cfg.dims}")
-    cfg.trials = _int_option(pick("trials", "trials", cfg.trials), "trials", 1)
-    cfg.seed = _int_option(pick("seed", "seed", cfg.seed), "seed")
-    # N and N//2 must differ, or the truncation-convergence checks pass vacuously
-    cfg.trunc_k = _int_option(pick("K", "K", cfg.trunc_k), "K", 0)
+    row = COMMANDS[cfg.which or cfg.command]
+    label = f"examples {cfg.which}" if cfg.which else cfg.command
+    dims_raw = pick("dims", None)
+    cfg.dims = list(row.dims) if dims_raw is None else _parse_dims(dims_raw)
+    # the report echoes dims, so a longer list would claim runs that never happen
+    if row.single and len(cfg.dims) > 1:
+        raise ConfigError(f"{label} takes one dimension, got dims {cfg.dims}")
+    if row.even and any(n % 2 for n in cfg.dims):
+        raise ConfigError(f"{label} needs even n, got dims {cfg.dims}")
+    cfg.trials = _int_option(pick("trials", cfg.trials), "trials", 1)
+    cfg.seed = _int_option(pick("seed", cfg.seed), "seed")
+    cfg.trunc_k = _int_option(pick("K", cfg.trunc_k), "K", 0)
     if cfg.trunc_k < 2:
         # the torus identities at t-orders 0 and 1 hold for every h, so they test nothing
         raise ConfigError(f"K must be >= 2 (orders 0 and 1 vanish for every h), "
                           f"got {cfg.trunc_k}")
-    cfg.trunc_n = _int_option(pick("N", "N", cfg.trunc_n), "N", 2)
-    q_raw = pick("q", "q", cfg.q)
+    # N and N//2 must differ, or the truncation-convergence checks pass vacuously
+    cfg.trunc_n = _int_option(pick("N", cfg.trunc_n), "N", 2)
+    q_raw = pick("q", cfg.q)
     try:
         cfg.q = float(q_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad q value {q_raw!r}") from exc
     if not (0 < cfg.q < 1):
         raise ConfigError(f"q must lie in (0,1), got {cfg.q}")
-    phi_raw = pick("phi", "phi", cfg.phi)
+    phi_raw = pick("phi", cfg.phi)
     try:
         cfg.phi = parse_complex_rational(str(phi_raw))
     except ValueError as exc:
         raise ConfigError(f"bad phi value {phi_raw!r}") from exc
-    cfg.size = _int_option(pick("size", "size", cfg.size), "size", 1)
-    cfg.out = pick("out", "out", cfg.out)
+    cfg.size = _int_option(pick("size", cfg.size), "size", 1)
+    cfg.out = pick("out", cfg.out)
     if cfg.out is not None and not isinstance(cfg.out, str):
         # open() would take an int or bool as a file descriptor
         raise ConfigError(f"out must be a file name, got {cfg.out!r}")
@@ -315,9 +319,7 @@ def cmd_verify(cfg: RunConfig) -> Dict[str, Any]:
         shape_ok = True
         for trial in range(cfg.trials):
             t = random_torsion(rng, dim)
-            u = random_one_form(rng, dim)
-            v = random_one_form(rng, dim)
-            w = random_one_form(rng, dim)
+            u, v, w = (random_one_form(rng, dim) for _ in range(3))
             t0 = time.perf_counter()
             computed = torsion_functional(u, v, w, t, dim)
             elapsed = time.perf_counter() - t0
@@ -359,22 +361,17 @@ def cmd_eval(cfg: RunConfig) -> Dict[str, Any]:
 
 # examples -----------------------------------------------------------------------
 
-def _examples_eym(cfg: RunConfig, rb: ReportBuilder) -> None:
+def _examples_eym(cfg: RunConfig) -> Dict[str, Any]:
+    rb = ReportBuilder(cfg)
     size = cfg.size
-    ok = True
-    for mu in range(size):
-        for nu in range(size):
-            if adjoint_trace(MatrixQQ.unit(size, mu, nu)):
-                ok = False
+    ok = not any(adjoint_trace(MatrixQQ.unit(size, mu, nu))
+                 for mu in range(size) for nu in range(size))
     rb.add(f"adjoint-trace-basis size={size}", ok,
            note="Tr ad(E_uv) over the full matrix unit basis")
     rng = seeded(cfg.seed)
     for dim in cfg.dims:
-        if dim % 2:
-            raise ConfigError(f"eym needs even n, got {dim}")
         for trial in range(min(cfg.trials, 5)):
-            gauge = tuple(random_anti_hermitian_traceless(rng, size)
-                          for _ in range(dim))
+            gauge = tuple(random_anti_hermitian_traceless(rng, size) for _ in range(dim))
             model = EymModel(dim, size, gauge)
             forms = [MatrixOneForm(dim, tuple(
                 random_anti_hermitian_traceless(rng, size) for _ in range(dim)))
@@ -384,16 +381,15 @@ def _examples_eym(cfg: RunConfig, rb: ReportBuilder) -> None:
             elapsed = time.perf_counter() - t0
             rb.exact(f"eym-density n={dim} size={size} trial {trial}",
                      ResidueValue(qi(0), dim), val, elapsed=elapsed)
+    return rb.report()
 
 
-def _examples_doubled(cfg: RunConfig, rb: ReportBuilder) -> None:
+def _examples_doubled(cfg: RunConfig) -> Dict[str, Any]:
+    rb = ReportBuilder(cfg)
     dim = cfg.dims[0]
-    if dim % 2:
-        raise ConfigError(f"doubled model needs even n, got {dim}")
     phi = cfg.phi
     rng = seeded(cfg.seed)
-    w1p, w1m = random_one_form(rng, dim), random_one_form(rng, dim)
-    w2p, w2m = random_one_form(rng, dim), random_one_form(rng, dim)
+    w1p, w1m, w2p, w2m = (random_one_form(rng, dim) for _ in range(4))
     f1p, f1m = qi(Fraction(1, 2)), qi(2)
     f2p, f2m = qi(1), qi(Fraction(-1, 3))
     f3p, f3m = qi(3), qi(1)
@@ -405,15 +401,16 @@ def _examples_doubled(cfg: RunConfig, rb: ReportBuilder) -> None:
     o2 = DoubledOneForm.off_diagonal(dim, f2p, f2m, phi)
     o3 = DoubledOneForm.off_diagonal(dim, f3p, f3m, phi)
     zero = ResidueValue(qi(0), dim)
+    residue = DoubledEvaluator(dim).residue
 
-    rb.exact("case-1 diag,diag,diag", zero, doubled_residue(d1, d2, d3))
-    case2 = doubled_residue(d1, d2, o3)
+    rb.exact("case-1 diag,diag,diag", zero, residue(d1, d2, d3))
+    case2 = residue(d1, d2, o3)
     expect2 = (metric_functional(w1p, w2p, dim).scale(f3p)
                + metric_functional(w1m, w2m, dim).scale(f3m)).scale(phi.abs2())
     rb.exact("case-2 diag,diag,off", expect2, case2,
              note="|phi|^2 (g(w1+,w2+) f3+ + g(w1-,w2-) f3-)")
-    rb.exact("case-3 diag,off,off", zero, doubled_residue(d1, o2, o3))
-    case4 = doubled_residue(o1, o2, o3)
+    rb.exact("case-3 diag,off,off", zero, residue(d1, o2, o3))
+    case4 = residue(o1, o2, o3)
     expect4 = volume_functional(f1p * f2m * f3p + f1m * f2p * f3m,
                                 dim).scale(phi.abs2() ** 2)
     rb.exact("case-4 off,off,off", expect4, case4,
@@ -421,9 +418,11 @@ def _examples_doubled(cfg: RunConfig, rb: ReportBuilder) -> None:
     free = doubled_torsion_free_test(phi, dim)
     rb.add("torsion-free iff phi=0", free == (not phi),
            computed=str(free), expected=str(not phi))
+    return rb.report()
 
 
-def _examples_nctorus(cfg: RunConfig, rb: ReportBuilder) -> None:
+def _examples_nctorus(cfg: RunConfig) -> Dict[str, Any]:
+    rb = ReportBuilder(cfg)
     pairs = ((1, 0), (0, -1), (2, -1), (-1, -1))
     tol = 1e-10
     rng = seeded(cfg.seed)
@@ -439,9 +438,11 @@ def _examples_nctorus(cfg: RunConfig, rb: ReportBuilder) -> None:
                 rb.bounded(
                     f"torus-identity n={dim} h#{trial} (a,b)=({alpha},{beta}) d_{j}",
                     res, tol, elapsed=elapsed)
+    return rb.report()
 
 
-def _examples_suq2(cfg: RunConfig, rb: ReportBuilder) -> None:
+def _examples_suq2(cfg: RunConfig) -> Dict[str, Any]:
+    rb = ReportBuilder(cfg)
     q, big_n = cfg.q, cfg.trunc_n
     tol = 1e-8
     w = zstar_z(q)
@@ -473,26 +474,37 @@ def _examples_suq2(cfg: RunConfig, rb: ReportBuilder) -> None:
             rb.add(name, False, expected=f"< {tol:g}", note=str(exc))
             continue
         rb.bounded(name, res, tol)
-    s_fin, s_gro = 3.5, 2.5
-    half = Suq2DiracSpec.partial_zeta(s_fin, 100)
-    full = Suq2DiracSpec.partial_zeta(s_fin, 200)
+    half, full = (Suq2DiracSpec.partial_zeta(3.5, m) for m in (100, 200))
     rb.bounded("zeta-finite s=3.5 (tail ratio)", full / half - 1.0, 0.05,
                note=f"S(200)={_fmt_float(full)} S(100)={_fmt_float(half)}")
-    half = Suq2DiracSpec.partial_zeta(s_gro, 100)
-    full = Suq2DiracSpec.partial_zeta(s_gro, 200)
+    half, full = (Suq2DiracSpec.partial_zeta(2.5, m) for m in (100, 200))
     rb.add("zeta-growth s=2.5", full / half > 1.3,
            computed=_fmt_float(full / half), expected="> 1.3",
            note=f"S(200)={_fmt_float(full)} S(100)={_fmt_float(half)}")
-
-
-def cmd_examples(cfg: RunConfig) -> Dict[str, Any]:
-    rb = ReportBuilder(cfg)
-    runners = {"eym": _examples_eym, "doubled": _examples_doubled,
-               "nctorus": _examples_nctorus, "suq2": _examples_suq2}
-    if cfg.which not in runners:
-        raise ConfigError(f"unknown example {cfg.which!r}")
-    runners[cfg.which](cfg, rb)
     return rb.report()
+
+
+class Command(NamedTuple):
+    """A command's default dims, its rules on n (load_config applies them) and its
+    runner.  A row with a help line is a subcommand; one without is an example."""
+
+    dims: Tuple[int, ...]
+    run: Callable[[RunConfig], Dict[str, Any]]
+    single: bool = False  # runs at one n
+    even: bool = False    # every n must be even
+    help: Optional[str] = None
+
+
+COMMANDS: Dict[str, Command] = {
+    "verify": Command((3, 4), cmd_verify, help="pipeline vs closed form, per dimension"),
+    # looked up at call time, so a replaced cli.cmd_eval is the one that runs
+    "eval": Command((3,), lambda cfg: cmd_eval(cfg), single=True,
+                    help="evaluate one torsion configuration"),
+    "eym": Command((2, 4), _examples_eym, even=True),
+    "doubled": Command((4,), _examples_doubled, single=True, even=True),
+    "nctorus": Command((2, 3), _examples_nctorus),
+    "suq2": Command((3, 4), _examples_suq2),
+}
 
 
 # entry point ----------------------------------------------------------------------
@@ -517,10 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mask-timing", action="store_true",
                        help="zero timestamp/elapsed fields for byte-stable output")
 
-    common(sub.add_parser("verify", help="pipeline vs closed form, per dimension"))
-    common(sub.add_parser("eval", help="evaluate one torsion configuration"))
+    for name, row in COMMANDS.items():
+        if row.help:
+            common(sub.add_parser(name, help=row.help))
     px = sub.add_parser("examples", help="run one of the model computations")
-    px.add_argument("which", choices=["eym", "doubled", "nctorus", "suq2"])
+    px.add_argument("which", choices=[name for name, row in COMMANDS.items() if not row.help])
     common(px)
     px.add_argument("--phi", help="doubled-space scalar, e.g. 1+2i or 0")
     px.add_argument("--q", type=float, help="disc deformation parameter in (0,1)")
@@ -534,12 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if cfg.command == "verify":
-            report = cmd_verify(cfg)
-        elif cfg.command == "eval":
-            report = cmd_eval(cfg)
-        else:
-            report = cmd_examples(cfg)
+        report = COMMANDS[cfg.which or cfg.command].run(cfg)
         text = json.dumps(report, indent=2)
         print(text)
         if cfg.out:

@@ -380,13 +380,13 @@ def zstar_z(q: float) -> QuantumDiscElement:
     return QuantumDiscElement.zstar(q) * QuantumDiscElement.z(q)
 
 
-def disc_represent(x: QuantumDiscElement, n_trunc: int, q: Optional[float] = None) -> np.ndarray:
+def disc_represent(x: QuantumDiscElement, n_trunc: int) -> np.ndarray:
     """Truncated representation on span(e_0..e_N): pi(z) e_k = sqrt(1-q^{2(k+1)}) e_{k+1}.
 
     Operators are multiplied on an enlarged space and cut down afterwards, so
     entries inside the window are exactly those of the infinite representation.
     """
-    q = x.q if q is None else q
+    q = x.q
     big = n_trunc + x.total_degree() + 2
     z_mat = np.zeros((big, big), dtype=complex)
     for k in range(big - 1):

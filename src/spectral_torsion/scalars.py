@@ -6,6 +6,8 @@ renderings and in the quantum-model module, never inside the symbol calculus.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, inf
 from typing import Optional, Union
@@ -237,10 +239,21 @@ def qi(re: RatLike = 0, im: RatLike = 0) -> QQi:
     return QQi(re, im)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal or integer literal into an exact Fraction."""
+    """Parse 'p/q' or a decimal or integer literal into an exact Fraction.
+
+    A decimal exponent beyond the interpreter's int-string limit is refused
+    before Fraction builds 10**exponent, which at 1e999999999 takes minutes."""
+    text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent.group(1))) > limit:
+        raise ValueError(f"exponent of {text!r} exceeds the int-string limit {limit}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 

@@ -158,6 +158,19 @@ class TestExamples:
         assert rc == 2
         assert "even" in err
 
+    def test_eym_rejects_odd_dim_before_any_density(self, capsys, monkeypatch):
+        # the n=2 densities used to run before n=3 was refused
+        calls = []
+        monkeypatch.setattr(cli, "eym_torsion_density", lambda *a: calls.append(a))
+        rc, out, err = run(capsys, "examples", "eym", "--dims", "2,3")
+        assert (rc, out, calls) == (2, "", [])
+        assert "even" in err
+
+    def test_doubled_rejects_odd_dim(self, capsys):
+        rc, out, err = run(capsys, "examples", "doubled", "--dims", "3")
+        assert (rc, out) == (2, "")
+        assert "even" in err
+
     def test_doubled_four_cases(self, capsys):
         rc, rep, _ = run_json(capsys, "examples", "doubled", "--dims", "2",
                               "--phi", "1+2i", "--mask-timing")
@@ -193,6 +206,30 @@ class TestExamples:
         rc, _, err = run(capsys, "examples", "suq2", "--q", "1.5")
         assert rc == 2
         assert "q must lie in (0,1)" in err
+
+
+class TestCommandTable:
+    """COMMANDS is the one list of commands: the parser and the dispatch read it."""
+
+    @pytest.mark.parametrize("name", [n for n in cli.COMMANDS if n != "eval"])
+    def test_every_command_runs_with_no_options(self, capsys, name):
+        argv = [name] if cli.COMMANDS[name].help else ["examples", name]
+        rc, rep, err = run_json(capsys, *argv, "--mask-timing")
+        assert rc in (0, 1)
+        assert rc == (0 if rep["pass"] else 1)
+        assert rep["config"]["dims"] == list(cli.COMMANDS[name].dims)
+        assert err == ""
+
+    def test_eval_with_no_options_needs_forms(self, capsys):
+        rc, out, err = run(capsys, "eval")
+        assert (rc, out) == (2, "")
+        assert "eval needs u, v, w" in err
+
+    def test_example_choices_are_the_table_rows(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == ["verify", "eval", "examples"]
+        which = next(a for a in sub.choices["examples"]._actions if a.dest == "which")
+        assert which.choices == [n for n in cli.COMMANDS if n not in ("verify", "eval")]
 
 
 class TestInputHardening:
@@ -300,6 +337,45 @@ class TestInputHardening:
         assert computed["piPow"] == 1
         assert computed["numeric"] == "-infi"
         assert "nan" not in computed["display"]
+
+    @pytest.mark.parametrize("dims", [3, {"3": 1}], ids=["int", "dict"])
+    def test_non_list_dims_in_config_rejected(self, tmp_path, capsys, dims):
+        # an int crashed (exit 3); a dict passed as the list of its keys
+        cfg = TestEval._write(tmp_path, {
+            "dims": dims, "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert f"dims must be a list or a comma-separated string, got {dims!r}" in err
+
+    @pytest.mark.parametrize("u", [5, None, "100"], ids=["int", "null", "string"])
+    def test_non_list_one_form_in_config_rejected(self, tmp_path, capsys, u):
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "u": u, "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert f"one-form u must be a list of components, got {u!r}" in err
+
+    @pytest.mark.parametrize("torsion, message", [
+        (5, "torsion must be a list of entries, got 5"),
+        ([{"indices": "123", "value": "1"}],
+         "malformed torsion entry {'indices': '123', 'value': '1'}"),
+    ], ids=["int", "string-indices"])
+    def test_non_list_torsion_in_config_rejected(self, tmp_path, capsys, torsion, message):
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "torsion": torsion,
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+    def test_huge_exponent_in_one_form_rejected(self, tmp_path, capsys, literal):
+        # parsed as written, 10**999999999 ran for minutes and kept growing
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "u": [literal, "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert "malformed one-form u" in err
 
     @pytest.mark.parametrize("out", [1, True], ids=["int", "bool"])
     def test_non_string_out_in_config_rejected(self, tmp_path, capsys, out):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import operator
 import pickle
+import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -226,6 +228,30 @@ class TestParsing:
         assert parse_rational("-7/3") == Fraction(-7, 3)
         with pytest.raises(ValueError):
             parse_rational("2i")
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "-2.5E+999999999"])
+    def test_huge_exponent_rejected_at_once(self, text):
+        # Fraction would build 10**999999999 first: minutes of CPU, growing memory
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_exponent_bound_is_the_int_string_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10 ** limit
+        assert parse_rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", f"1+1e-{limit + 1}i"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_complex_rational(text)
+
+    def test_no_int_string_limit_means_no_exponent_bound(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational("1e5000") == 10 ** 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMatrixQQ:
