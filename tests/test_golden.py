@@ -83,10 +83,12 @@ MASKED_REPORTS = {
     "eval-frame.json": ["eval", "--config", str(REPORTS / "eval-frame.config.json")],
     "verify-3-4-5.json": ["verify", "--dims", "3,4,5", "--trials", "5", "--seed", "1"],
     "doubled-4.json": ["examples", "doubled", "--dims", "4", "--phi", "1+2i"],
+    "doubled-4-phi0.json": ["examples", "doubled", "--dims", "4", "--phi", "0"],
     "eym-2.json": ["examples", "eym", "--dims", "2", "--size", "2"],
     "eym-2-4-size3.json": ["examples", "eym", "--dims", "2,4", "--size", "3", "--trials", "2"],
     "nctorus-2-3.json": ["examples", "nctorus", "--dims", "2,3", "--trials", "2", "--K", "4"],
     "suq2-N200.json": ["examples", "suq2", "--N", "200"],
+    "suq2-N2.json": ["examples", "suq2", "--N", "2"],
 }
 
 
