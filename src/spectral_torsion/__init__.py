@@ -14,8 +14,7 @@ from .matrices import MatrixQQ
 from .scalars import QQi, parse_complex_rational, parse_rational, qi
 from .symcalc import (CurvatureJet, HomogeneousSymbol, PiValue, SymbolSum,
                       compose, moment, negative_power, parametrix,
-                      sphere_integrate, sphere_volume, sqrt_symbol,
-                      unit_symbol)
+                      sphere_integrate, sphere_volume, sqrt_symbol)
 from .torsion import (ContorsionTensor, FrameConnection, OneForm,
                       ResidueValue, TorsionTensor, chirality_functional,
                       closed_form_torsion, contorsion_from_torsion,
@@ -27,15 +26,15 @@ from .torsion import (ContorsionTensor, FrameConnection, OneForm,
                       torsion_functional, volume_functional)
 from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
                                 MatrixOneForm, adjoint_matrix, adjoint_trace,
-                                doubled_residue, doubled_spanning_forms,
-                                doubled_torsion_free_test, eym_dirac_symbol,
-                                eym_torsion_density, left_mult_matrix)
+                                doubled_spanning_forms, doubled_torsion_free_test,
+                                eym_dirac_symbol, eym_torsion_density,
+                                left_mult_matrix)
 from .qmodels import (CancellationReport, ConvergenceError, FormalSeries,
                       QuantumDiscElement, Suq2DiracSpec, TorusElement,
                       antisymmetric_theta, disc_represent,
                       disc_truncated_trace, suq2_paired_combination,
-                      suq2_residue_cancellation, tau0_dn, tau0_up, tau1,
-                      torus_exp, torus_trace_identity, zstar_z)
+                      suq2_residue_cancellation, tau1, torus_exp,
+                      torus_trace_identity, zstar_z)
 from .sampling import (random_anti_hermitian_traceless, random_contorsion,
                        random_fraction, random_one_form, random_qqi,
                        random_theta, random_torsion, random_torus_h, seeded)
@@ -53,7 +52,7 @@ __all__ = [
     "chirality_functional", "clifford_action", "clifford_trace",
     "closed_form_torsion", "compose", "contorsion_from_torsion",
     "dirac_symbol", "disc_represent", "disc_truncated_trace",
-    "doubled_residue", "doubled_spanning_forms", "doubled_torsion_free_test",
+    "doubled_spanning_forms", "doubled_torsion_free_test",
     "eym_dirac_symbol", "eym_torsion_density", "inverse_power_symbol",
     "lead_residue", "left_mult_matrix", "levi_civita_from_structure",
     "metric_functional", "moment", "negative_power", "parametrix",
@@ -63,8 +62,8 @@ __all__ = [
     "random_torsion", "random_torus_h", "reduce_word", "residue_of_symbol",
     "seeded", "spectral_closedness_check", "sphere_average", "sphere_integrate",
     "sphere_volume", "sqrt_symbol", "suq2_paired_combination",
-    "suq2_residue_cancellation", "tau0_dn", "tau0_up", "tau1",
+    "suq2_residue_cancellation", "tau1",
     "torsion_contraction", "torsion_from_contorsion", "torsion_functional",
-    "torus_exp", "torus_trace_identity", "trace_power", "unit_symbol",
+    "torus_exp", "torus_trace_identity", "trace_power",
     "volume_functional", "zstar_z",
 ]

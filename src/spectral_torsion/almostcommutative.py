@@ -149,7 +149,7 @@ class DoubledOneForm:
     fplus: QQi
     fminus: QQi
     phi: QQi
-    _blocks: Tuple[Tuple[Multivector, Multivector], ...] = field(
+    blocks: Tuple[Tuple[Multivector, Multivector], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -161,24 +161,19 @@ class DoubledOneForm:
             object.__setattr__(self, name, QQi.coerce(getattr(self, name)))
         # built once: a doubled scan reads each form's blocks in every triple holding it
         chi = chirality(self.dim)
-        object.__setattr__(self, "_blocks", (
+        object.__setattr__(self, "blocks", (
             (self.wplus.action(), chi.scale(self.phi * self.fplus)),
             (chi.scale(self.phi.conj() * self.fminus), self.wminus.action())))
 
     @staticmethod
     def diagonal(wplus: OneForm, wminus: OneForm, phi: ScalarLike) -> "DoubledOneForm":
-        zero = QQi()
-        return DoubledOneForm(wplus.dim, wplus, wminus, zero, zero, QQi.coerce(phi))
+        return DoubledOneForm(wplus.dim, wplus, wminus, 0, 0, phi)
 
     @staticmethod
     def off_diagonal(dim: int, fplus: ScalarLike, fminus: ScalarLike,
                      phi: ScalarLike) -> "DoubledOneForm":
         zero = OneForm(dim, (0,) * dim)
-        return DoubledOneForm(dim, zero, zero, QQi.coerce(fplus), QQi.coerce(fminus),
-                              QQi.coerce(phi))
-
-    def blocks(self) -> Tuple[Tuple[Multivector, Multivector], ...]:
-        return self._blocks
+        return DoubledOneForm(dim, zero, zero, fplus, fminus, phi)
 
 
 def _block_product(a, b, dim: int) -> List[List[Multivector]]:
@@ -207,13 +202,19 @@ class DoubledEvaluator:
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
                 o3: DoubledOneForm) -> ResidueValue:
+        """W(o1 o2 o3 D_doubled |D_doubled|^{-n}), exact.
+
+        |D_doubled|^{-n} differs from |D|^{-n} (x) 1 only below the tracked degrees
+        (D_doubled^2 = D^2 + |Phi|^2 adds a degree-0 term, first visible at degree
+        -n-2), so the base-space power symbol is exact here.
+        """
         if not (o1.dim == o2.dim == o3.dim == self.dim):
             raise ValueError("dimension mismatch among inputs")
         if not (o1.phi == o2.phi == o3.phi):
             raise ValueError("one-forms built over different Phi")
         phi = o1.phi
-        p12 = _block_product(o1.blocks(), o2.blocks(), self.dim)
-        p = _block_product(p12, o3.blocks(), self.dim)
+        p12 = _block_product(o1.blocks, o2.blocks, self.dim)
+        p = _block_product(p12, o3.blocks, self.dim)
         total = ResidueValue(QQi(), self.dim)
         # (P D_doubled)_{ii} = P_{ii} D + P_{i,other} chi Phi^{(*)}
         for i, phase in ((0, phi.conj()), (1, phi)):
@@ -224,19 +225,8 @@ class DoubledEvaluator:
         return total
 
 
-def doubled_residue(o1: DoubledOneForm, o2: DoubledOneForm, o3: DoubledOneForm) -> ResidueValue:
-    """W(o1 o2 o3 D_doubled |D_doubled|^{-n}), exact.
-
-    |D_doubled|^{-n} differs from |D|^{-n} (x) 1 only below the tracked degrees
-    (D_doubled^2 = D^2 + |Phi|^2 adds a degree-0 term, first visible at degree
-    -n-2), so the base-space power symbol is exact here.
-    """
-    return DoubledEvaluator(o1.dim).residue(o1, o2, o3)
-
-
 def doubled_spanning_forms(dim: int, phi: ScalarLike) -> List[DoubledOneForm]:
     """Spanning set: each frame one-form on either sheet, each off-diagonal unit."""
-    phi = QQi.coerce(phi)
     zero = OneForm(dim, (0,) * dim)
     out: List[DoubledOneForm] = []
     for a in range(1, dim + 1):
@@ -248,11 +238,11 @@ def doubled_spanning_forms(dim: int, phi: ScalarLike) -> List[DoubledOneForm]:
     return out
 
 
-def doubled_torsion_free_test(phi: ScalarLike, dim: int = 4) -> bool:
+def doubled_torsion_free_test(ev: DoubledEvaluator, phi: ScalarLike) -> bool:
     """True iff the doubled geometry is torsion-free: every residue over the
-    spanning one-form triples vanishes.  Happens exactly when Phi = 0."""
-    ev = DoubledEvaluator(dim)
-    span = doubled_spanning_forms(dim, phi)
+    spanning one-form triples of ev's dimension vanishes.  Happens exactly when
+    Phi = 0."""
+    span = doubled_spanning_forms(ev.dim, phi)
     for o1 in span:
         for o2 in span:
             for o3 in span:

@@ -92,10 +92,6 @@ class TorusElement:
     def weyl(theta, p: Mode, c: complex = 1.0) -> "TorusElement":
         return TorusElement(theta, {tuple(p): complex(c)})
 
-    @staticmethod
-    def zero(theta) -> "TorusElement":
-        return TorusElement(theta)
-
     def __add__(self, other: "TorusElement") -> "TorusElement":
         theta = _common_theta((self, other))
         out = dict(self.coeffs)
@@ -431,40 +427,6 @@ def tau1(x: QuantumDiscElement) -> complex:
     return sum(v for (a, c), v in x.coeffs.items() if a == c)
 
 
-def _tau0(x: QuantumDiscElement, n_trunc: int, tol: float,
-          check: bool) -> Tuple[complex, complex]:
-    """(tau0_up, tau0_dn) at truncation N, from one truncated trace.
-
-    The convergence check compares the truncations N and N//2 once: the two
-    counting offsets shift both by the same multiple of tau1, so the
-    difference it tests is the same for either offset.  This check is the
-    only part of a cancellation that can fail: tau0_up - tau0_dn + tau1 is
-    (1/2 - 3/2 + 1) tau1 = 0 by algebra, whatever the truncated trace returns.
-    """
-    t1 = tau1(x)
-    full = disc_truncated_trace(x, n_trunc)
-    if check:
-        half = disc_truncated_trace(x, n_trunc // 2)
-        gap = abs((full - n_trunc * t1) - (half - (n_trunc // 2) * t1))
-        if gap > tol:
-            raise ConvergenceError(
-                f"tau0 truncations at N={n_trunc} and N={n_trunc // 2} differ by "
-                f"{gap:.3e} (tol {tol:.1e})")
-    return full - (n_trunc + 1.5) * t1, full - (n_trunc + 0.5) * t1
-
-
-def tau0_up(x: QuantumDiscElement, n_trunc: int, tol: float = 1e-8,
-            check: bool = True) -> complex:
-    """lim_N [Tr_N pi(x) - (N + 3/2) tau1(x)], evaluated at truncation N."""
-    return _tau0(x, n_trunc, tol, check)[0]
-
-
-def tau0_dn(x: QuantumDiscElement, n_trunc: int, tol: float = 1e-8,
-            check: bool = True) -> complex:
-    """Same finite part with the (N + 1/2) counting offset."""
-    return _tau0(x, n_trunc, tol, check)[1]
-
-
 @dataclass(frozen=True)
 class CancellationReport:
     tau1: complex
@@ -479,15 +441,31 @@ class CancellationReport:
 
 def suq2_residue_cancellation(x: QuantumDiscElement, n_trunc: int,
                               tol: float = 1e-8) -> CancellationReport:
-    """The boundary cancellation tau0_up - tau0_dn = -tau1 at truncation N."""
-    return CancellationReport(tau1(x), *_tau0(x, n_trunc, tol, True))
+    """The boundary cancellation tau0_up - tau0_dn = -tau1 at truncation N.
+
+    tau0_up = lim_N [Tr_N pi(x) - (N + 3/2) tau1(x)], and tau0_dn the same
+    finite part with offset N + 1/2; the offsets are the Dirac eigenvalues
+    |lambda| at 2j = N (Suq2DiracSpec).  The one check that can fail compares
+    the truncations N and N//2: the offsets shift both by the same multiple of
+    tau1, so it tests either offset, while tau0_up - tau0_dn + tau1 is
+    (1/2 - 3/2 + 1) tau1 = 0 by algebra, whatever the truncated trace returns.
+    """
+    t1 = tau1(x)
+    full = disc_truncated_trace(x, n_trunc)
+    half = disc_truncated_trace(x, n_trunc // 2)
+    gap = abs((full - n_trunc * t1) - (half - (n_trunc // 2) * t1))
+    if gap > tol:
+        raise ConvergenceError(
+            f"tau0 truncations at N={n_trunc} and N={n_trunc // 2} differ by "
+            f"{gap:.3e} (tol {tol:.1e})")
+    return CancellationReport(t1, full - Suq2DiracSpec.eigen_up(n_trunc) * t1,
+                              full - abs(Suq2DiracSpec.eigen_dn(n_trunc)) * t1)
 
 
-def suq2_paired_combination(x: QuantumDiscElement, y: QuantumDiscElement,
-                            n_trunc: int, tol: float = 1e-8) -> float:
-    """|(tau1 (x) Delta - Delta (x) tau1)(x (x) y)| with Delta = tau0_up - tau0_dn."""
-    (up_x, dn_x), (up_y, dn_y) = _tau0(x, n_trunc, tol, True), _tau0(y, n_trunc, tol, True)
-    return abs(tau1(x) * (up_y - dn_y) - (up_x - dn_x) * tau1(y))
+def suq2_paired_combination(rx: CancellationReport, ry: CancellationReport) -> float:
+    """|(tau1 (x) Delta - Delta (x) tau1)(x (x) y)| with Delta = tau0_up - tau0_dn,
+    read from the cancellation reports of x and y."""
+    return abs(rx.tau1 * (ry.tau0_up - ry.tau0_dn) - (rx.tau0_up - rx.tau0_dn) * ry.tau1)
 
 
 class Suq2DiracSpec:

@@ -85,7 +85,7 @@ def random_theta(rng: Random, dim: int):
 def random_torus_h(rng: Random, theta, max_modes: int = 2) -> TorusElement:
     """Self-adjoint torus element with at most 2*max_modes Fourier modes."""
     n = len(theta)
-    x = TorusElement.zero(theta)
+    x = TorusElement(theta)
     for _ in range(rng.randint(1, max_modes)):
         p = tuple(rng.randint(-2, 2) for _ in range(n))
         if not any(p):

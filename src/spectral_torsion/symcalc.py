@@ -23,7 +23,7 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .clifford import Multivector
-from .scalars import QQi
+from .scalars import QQi, _frac
 
 TermKey = Tuple[Tuple[int, ...], int, int]   # (alpha, rho, xj); xj = 0 means none
 MINUS_I = QQi(Fraction(0), Fraction(-1))
@@ -59,10 +59,6 @@ class HomogeneousSymbol:
                     raise ValueError("coefficient dimension mismatch")
                 if mv:
                     self.terms[key] = mv
-
-    @staticmethod
-    def zero(dim: int, degree: int) -> "HomogeneousSymbol":
-        return HomogeneousSymbol(dim, degree)
 
     @staticmethod
     def radial(dim: int, rho: int, coeff: Multivector) -> "HomogeneousSymbol":
@@ -208,7 +204,7 @@ class SymbolSum:
         return max(self.parts)
 
     def component(self, degree: int) -> HomogeneousSymbol:
-        return self.parts.get(degree, HomogeneousSymbol.zero(self.dim, degree))
+        return self.parts.get(degree, HomogeneousSymbol(self.dim, degree))
 
     def __sub__(self, other: "SymbolSum") -> "SymbolSum":
         degs = set(self.parts) | set(other.parts)
@@ -218,10 +214,6 @@ class SymbolSum:
             if h:
                 parts[d] = h
         return SymbolSum(self.dim, parts)
-
-
-def unit_symbol(dim: int) -> SymbolSum:
-    return SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.unit(dim))})
 
 
 def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
@@ -234,7 +226,7 @@ def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
     lead = lead_a + b.leading_degree
     parts: Dict[int, HomogeneousSymbol] = {}
     for d in range(lead, lead - TRACKED, -1):
-        acc = HomogeneousSymbol.zero(a.dim, d)
+        acc = HomogeneousSymbol(a.dim, d)
         for da in range(lead_a, lead_a - TRACKED, -1):
             db = d - da
             if db in b.parts and da in a.parts:
@@ -436,7 +428,7 @@ class CurvatureJet:
         for key, val in riemann.items():
             if len(key) != 4 or not all(1 <= i <= dim for i in key):
                 raise ValueError(f"bad riemann index {key}")
-            v = Fraction(val)
+            v = _frac(val)
             if v:
                 R[key] = v
         self.riemann = R

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
-from .scalars import QQi, ScalarLike, qi
+from .scalars import QQi, ScalarLike, _frac, qi
 from .symcalc import (TRACKED, HomogeneousSymbol, SymbolSum, compose, negative_power,
                       parametrix, sphere_integrate, sphere_volume, sqrt_symbol)
 
@@ -30,12 +30,6 @@ OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 
 # kappa in D_T = D - i*kappa T_{jkl} g^j g^k g^l
 TORSION_KAPPA = Fraction(1, 8)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {x!r}")
 
 
 def _clean_entries(tensor, admissible: Callable[[int, int, int], bool], error: str) -> None:
@@ -305,7 +299,7 @@ def dirac_symbol(t: TorsionTensor, dim: int,
         if not all(1 <= x <= dim for x in (j, k, l, s)):
             raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")
         word = (Multivector.gamma(dim, j) * Multivector.gamma(dim, k)
-                * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * Fraction(v))
+                * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * _frac(v))
         potential[s] = potential.get(s, Multivector(dim)) + word
     return first_order_symbol(dim, QQi(Fraction(1)), potential)
 

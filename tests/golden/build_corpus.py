@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from spectral_torsion.almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
-                                                doubled_residue, eym_torsion_density)
+                                                DoubledEvaluator, eym_torsion_density)
 from spectral_torsion.cli import scalar_json
 from spectral_torsion.sampling import (random_anti_hermitian_traceless, random_one_form,
                                        random_qqi, random_torsion, seeded)
@@ -107,13 +107,14 @@ def doubled_cases(rng) -> list:
     d = [DoubledOneForm.diagonal(w[2 * k], w[2 * k + 1], phi) for k in range(3)]
     o = [DoubledOneForm.off_diagonal(dim, f[2 * k], f[2 * k + 1], phi) for k in range(3)]
     table = [(d[0], d[1], d[2]), (d[0], d[1], o[2]), (d[0], o[1], o[2]), (o[0], o[1], o[2])]
+    residue = DoubledEvaluator(dim).residue
     cases = []
     for k, triple in enumerate(table):
         cases.append({"kind": "doubled", "dim": dim, "case": k + 1, "phi": gauss(phi),
                       "forms": [{"wplus": form(x.wplus), "wminus": form(x.wminus),
                                  "fplus": gauss(x.fplus), "fminus": gauss(x.fminus)}
                                 for x in triple],
-                      "value": value(doubled_residue(*triple))})
+                      "value": value(residue(*triple))})
     return cases
 
 

@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from spectral_torsion import (
+    DoubledEvaluator,
     DoubledOneForm,
     EymModel,
     GammaWord,
@@ -29,7 +30,6 @@ from spectral_torsion import (
     canonicalize,
     clifford_trace,
     closed_form_torsion,
-    doubled_residue,
     doubled_torsion_free_test,
     eym_torsion_density,
     metric_functional,
@@ -254,6 +254,7 @@ def test_criterion_07_doubled_space():
     torsion-free test true exactly when the linking scalar vanishes."""
     rng = Random(70)
     for dim in (2, 4):
+        ev = DoubledEvaluator(dim)
         for phi in (qi(1), qi(1, 2), qi(Fraction(-1, 2), Fraction(1, 3))):
             w1p, w1m, w2p, w2m, w3p, w3m = (random_one_form(rng, dim)
                                             for _ in range(6))
@@ -267,18 +268,18 @@ def test_criterion_07_doubled_space():
             o2 = DoubledOneForm.off_diagonal(dim, f2p, f2m, phi)
             o3 = DoubledOneForm.off_diagonal(dim, f3p, f3m, phi)
             zero = ResidueValue(qi(0), dim)
-            assert doubled_residue(d1, d2, d3) == zero
+            assert ev.residue(d1, d2, d3) == zero
             want2 = (metric_functional(w1p, w2p, dim).scale(f3p)
                      + metric_functional(w1m, w2m, dim).scale(f3m)) \
                 .scale(phi.abs2())
-            assert doubled_residue(d1, d2, o3) == want2
-            assert doubled_residue(d1, o2, o3) == zero
+            assert ev.residue(d1, d2, o3) == want2
+            assert ev.residue(d1, o2, o3) == zero
             want4 = volume_functional(f1p * f2m * f3p + f1m * f2p * f3m,
                                       dim).scale(phi.abs2() ** 2)
-            assert doubled_residue(o1, o2, o3) == want4
-        assert doubled_torsion_free_test(qi(0), dim) is True
-        assert doubled_torsion_free_test(qi(1), dim) is False
-        assert doubled_torsion_free_test(qi(0, Fraction(1, 5)), dim) is False
+            assert ev.residue(o1, o2, o3) == want4
+        assert doubled_torsion_free_test(ev, qi(0)) is True
+        assert doubled_torsion_free_test(ev, qi(1)) is False
+        assert doubled_torsion_free_test(ev, qi(0, Fraction(1, 5))) is False
     _line(7, True, "four-case table exact for 6 (dim, phi) combinations; "
                    "torsion-free iff phi=0")
 
@@ -311,13 +312,13 @@ def test_criterion_09_suq2_boundary():
     samples = [QuantumDiscElement.one(q), QuantumDiscElement.z(q),
                w, w.power(2), w.power(3)]
     worst = 0.0
-    for x in samples:
-        rep = suq2_residue_cancellation(x, big_n)
+    reports = [suq2_residue_cancellation(x, big_n) for x in samples]
+    for rep in reports:
         worst = max(worst, rep.residual)
         assert rep.residual < 1e-8
-    for x in samples:
-        for y in samples:
-            res = suq2_paired_combination(x, y, big_n)
+    for rx in reports:
+        for ry in reports:
+            res = suq2_paired_combination(rx, ry)
             worst = max(worst, res)
             assert res < 1e-8
     fin = Suq2DiracSpec.partial_zeta(3.5, 200) / Suq2DiracSpec.partial_zeta(3.5, 100)

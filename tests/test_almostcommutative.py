@@ -8,7 +8,7 @@ import pytest
 from spectral_torsion import (DoubledEvaluator, DoubledOneForm, EymModel,
                               MatrixOneForm, MatrixQQ, Multivector, OneForm,
                               ResidueValue, adjoint_matrix, adjoint_trace,
-                              doubled_residue, doubled_spanning_forms,
+                              doubled_spanning_forms,
                               doubled_torsion_free_test, eym_torsion_density,
                               left_mult_matrix, metric_functional, qi,
                               sphere_integrate, volume_functional)
@@ -212,7 +212,7 @@ class TestDoubled:
         d1 = DoubledOneForm.diagonal(w1p, w1m, phi)
         d3 = DoubledOneForm.diagonal(w3p, w3m, phi)
         o2 = DoubledOneForm.off_diagonal(dim, qi(1), qi(2), phi)
-        got = doubled_residue(d1, o2, d3)
+        got = DoubledEvaluator(dim).residue(d1, o2, d3)
         want = (metric_functional(w1p, w3m, dim).scale(qi(1))
                 + metric_functional(w1m, w3p, dim).scale(qi(2))) \
             .scale(phi.abs2()).scale(qi(-1))
@@ -249,7 +249,7 @@ class TestDoubled:
         nonzero = 0
         for o2 in span:
             for o3 in span:
-                b1, b2, b3 = o1.blocks(), o2.blocks(), o3.blocks()
+                b1, b2, b3 = o1.blocks, o2.blocks, o3.blocks
                 p = [[sum((b1[i][k] * b2[k][l] * b3[l][j] for k in (0, 1) for l in (0, 1)),
                           Multivector(dim)) for j in (0, 1)] for i in (0, 1)]
                 want = ResidueValue(qi(0), dim)
@@ -289,22 +289,23 @@ class TestDoubled:
         d = DoubledOneForm.diagonal(OneForm.frame(dim, 1), OneForm.frame(dim, 2), qi(1))
         o = DoubledOneForm.off_diagonal(dim, qi(1), qi(1), qi(2))
         with pytest.raises(ValueError):
-            doubled_residue(d, d, o)
+            DoubledEvaluator(dim).residue(d, d, o)
 
     def test_spanning_forms(self):
         for dim in (2, 4):
             assert len(doubled_spanning_forms(dim, qi(1))) == 2 * dim + 2
 
     def test_torsion_free_iff_phi_zero(self):
-        assert doubled_torsion_free_test(qi(0), 2)
-        assert not doubled_torsion_free_test(qi(1), 2)
-        assert not doubled_torsion_free_test(qi(0, Fraction(1, 2)), 2)
-        assert doubled_torsion_free_test(qi(0), 4)
-        assert not doubled_torsion_free_test(qi(1), 4)
+        ev2, ev4 = DoubledEvaluator(2), DoubledEvaluator(4)
+        assert doubled_torsion_free_test(ev2, qi(0))
+        assert not doubled_torsion_free_test(ev2, qi(1))
+        assert not doubled_torsion_free_test(ev2, qi(0, Fraction(1, 2)))
+        assert doubled_torsion_free_test(ev4, qi(0))
+        assert not doubled_torsion_free_test(ev4, qi(1))
 
     def test_blocks_shape(self):
         d = DoubledOneForm.diagonal(OneForm.frame(2, 1), OneForm.frame(2, 2), qi(1))
-        b = d.blocks()
+        b = d.blocks
         assert len(b) == 2 and all(len(row) == 2 for row in b)
         assert not b[0][1] and not b[1][0]
 

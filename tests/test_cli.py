@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import spectral_torsion.cli as cli
+from spectral_torsion import qmodels
+from spectral_torsion.almostcommutative import DoubledEvaluator
 from spectral_torsion.cli import format_complex, main, scalar_json
 from spectral_torsion.scalars import qi
 from spectral_torsion.torsion import ResidueValue
@@ -19,6 +21,7 @@ from spectral_torsion.torsion import ResidueValue
 from test_golden import MASKED_REPORTS, REPORTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+INT_STR_LIMIT = sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -186,6 +189,31 @@ class TestExamples:
         assert rc == 0
         last = rep["checks"][-1]
         assert last["computed"] == "True"
+
+    def test_doubled_builds_one_evaluator(self, capsys, monkeypatch):
+        # the torsion-free scan reads the runner's evaluator instead of building a second
+        builds = []
+        init = DoubledEvaluator.__init__
+
+        def counting(self, dim):
+            builds.append(dim)
+            init(self, dim)
+        monkeypatch.setattr(DoubledEvaluator, "__init__", counting)
+        rc, _, _ = run(capsys, "examples", "doubled", "--dims", "2", "--phi", "0")
+        assert (rc, builds) == (0, [2])
+
+    @pytest.mark.parametrize("big_n, code", [("2000", 0), ("2", 1)])
+    def test_suq2_traces_each_sample_twice(self, capsys, monkeypatch, big_n, code):
+        # 5 samples at N and N//2; the pairings read the samples' reports or errors
+        calls = []
+        trace = qmodels.disc_truncated_trace
+
+        def counting(x, n):
+            calls.append(n)
+            return trace(x, n)
+        monkeypatch.setattr(qmodels, "disc_truncated_trace", counting)
+        rc, _, _ = run(capsys, "examples", "suq2", "--N", big_n)
+        assert (rc, len(calls)) == (code, 10)
 
     def test_nctorus_residuals(self, capsys):
         rc, rep, _ = run_json(capsys, "examples", "nctorus", "--dims", "2",
@@ -376,6 +404,21 @@ class TestInputHardening:
         rc, out, err = run(capsys, "eval", "--config", cfg)
         assert (rc, out) == (2, "")
         assert "malformed one-form u" in err
+
+    @pytest.mark.parametrize("torsion, comp", [
+        (f"1e{INT_STR_LIMIT}", "1"),
+        (f"9e{INT_STR_LIMIT - 1}", f"9e{INT_STR_LIMIT - 1}"),
+    ], ids=["torsion", "product"])
+    def test_value_past_the_int_string_limit_rejected(self, tmp_path, capsys, torsion, comp):
+        # each input passes the exponent bound, but the value (10**limit, or a
+        # product of ~4 * limit digits) has too many digits for str(): this exited 3
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "torsion": [{"indices": [1, 2, 3], "value": torsion}],
+            "u": [comp, "0", "0"], "v": ["0", comp, "0"], "w": ["0", "0", comp]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert err == ("error: exact value too long to render: more digits than the "
+                       f"int-string limit {INT_STR_LIMIT}\n")
 
     @pytest.mark.parametrize("out", [1, True], ids=["int", "bool"])
     def test_non_string_out_in_config_rejected(self, tmp_path, capsys, out):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from spectral_torsion.almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
-                                                doubled_residue, eym_torsion_density)
+                                                DoubledEvaluator, eym_torsion_density)
 from spectral_torsion.cli import main, scalar_json
 from spectral_torsion.matrices import MatrixQQ
 from spectral_torsion.scalars import QQi
@@ -59,9 +59,10 @@ def evaluate(case):
         return volume_functional(gauss(case["f"]), dim)
     if kind == "doubled":
         phi = gauss(case["phi"])
-        return doubled_residue(*(DoubledOneForm(dim, form(dim, f["wplus"]), form(dim, f["wminus"]),
-                                                gauss(f["fplus"]), gauss(f["fminus"]), phi)
-                                 for f in case["forms"]))
+        forms = (DoubledOneForm(dim, form(dim, f["wplus"]), form(dim, f["wminus"]),
+                                gauss(f["fplus"]), gauss(f["fminus"]), phi)
+                 for f in case["forms"])
+        return DoubledEvaluator(dim).residue(*forms)
     if kind == "eym":
         model = EymModel(dim, case["size"], tuple(matrix(x) for x in case["gauge"]))
         return eym_torsion_density(model, *(MatrixOneForm(dim, tuple(matrix(x) for x in c))

@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and the package exports what it imports.
 
 An AST pass over the package modules (not `__init__.py`, whose imports are
 re-exports) and every test file.  A name counts as used when it appears as a
@@ -11,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import spectral_torsion
 
 TESTS = Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "spectral_torsion"
@@ -43,3 +45,14 @@ def test_the_scan_sees_names_and_attribute_bases_but_not_strings():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(TESTS.parent)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exports_are_the_imported_names():
+    """__all__ lists exactly the public names __init__.py imports: a deleted entry
+    point leaves no dangling export, and a new import does not go unexported."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert sorted(spectral_torsion.__all__) == public

@@ -21,8 +21,6 @@ from spectral_torsion import (
     random_torus_h,
     suq2_paired_combination,
     suq2_residue_cancellation,
-    tau0_dn,
-    tau0_up,
     tau1,
     torus_exp,
     torus_trace_identity,
@@ -39,7 +37,7 @@ THETA2 = ((0.0, 0.35), (-0.35, 0.0))
 
 def _random_torus(rng: Random, theta, modes: int = 3) -> TorusElement:
     n = len(theta)
-    x = TorusElement.zero(theta)
+    x = TorusElement(theta)
     for _ in range(modes):
         p = tuple(rng.randint(-2, 2) for _ in range(n))
         x = x + TorusElement.weyl(theta, p,
@@ -87,7 +85,7 @@ class TestTorusAlgebra:
             got = s * t
             assert got.truncation == 3
             for m in range(4):
-                want = TorusElement.zero(theta)
+                want = TorusElement(theta)
                 for i in range(m + 1):
                     want = want + torus_product(s.orders[i], t.orders[m - i])
                 assert set(got.orders[m].coeffs) == set(want.coeffs)
@@ -323,9 +321,9 @@ class TestBoundaryTraces:
         assert tau1(QuantumDiscElement.one(q)) == 1
 
     def test_tau0_anchors_on_the_identity(self):
-        one = QuantumDiscElement.one(self.Q)
-        assert abs(tau0_up(one, self.N) - (-0.5)) < 1e-12
-        assert abs(tau0_dn(one, self.N) - 0.5) < 1e-12
+        report = suq2_residue_cancellation(QuantumDiscElement.one(self.Q), self.N)
+        assert abs(report.tau0_up - (-0.5)) < 1e-12
+        assert abs(report.tau0_dn - 0.5) < 1e-12
 
     def test_tau0_geometric_anchor(self):
         # 1 - z*z = q^2 (1 - z z*) is trace class with trace q^2 / (1 - q^2)
@@ -333,15 +331,15 @@ class TestBoundaryTraces:
         x = QuantumDiscElement.one(q) - zstar_z(q)
         assert tau1(x) == 0
         want = q * q / (1 - q * q)
-        assert abs(tau0_up(x, self.N) - want) < 1e-12
-        assert abs(tau0_dn(x, self.N) - want) < 1e-12
+        report = suq2_residue_cancellation(x, self.N)
+        assert abs(report.tau0_up - want) < 1e-12
+        assert abs(report.tau0_dn - want) < 1e-12
 
     def test_tau0_flags_unconverged_truncation(self):
         q = self.Q
         w = QuantumDiscElement.z(q) * QuantumDiscElement.zstar(q)
         with pytest.raises(ConvergenceError):
-            tau0_up(w, 10)
-        tau0_up(w, 10, check=False)
+            suq2_residue_cancellation(w, 10)
 
     def test_cancellation_flags_unconverged_trace(self, monkeypatch):
         # the residual is 0 by algebra for any trace value, so only the
@@ -352,7 +350,9 @@ class TestBoundaryTraces:
         with pytest.raises(ConvergenceError):
             suq2_residue_cancellation(zstar_z(self.Q), self.N)
         with pytest.raises(ConvergenceError):
-            suq2_paired_combination(zstar_z(self.Q), QuantumDiscElement.one(self.Q), self.N)
+            suq2_paired_combination(suq2_residue_cancellation(zstar_z(self.Q), self.N),
+                                    suq2_residue_cancellation(QuantumDiscElement.one(self.Q),
+                                                              self.N))
         report = suq2_residue_cancellation(zstar_z(self.Q), self.N, tol=1e-3)
         assert report.residual < 1e-8
 
@@ -376,9 +376,10 @@ class TestBoundaryTraces:
     def test_paired_combination_vanishes(self):
         q = self.Q
         xs = [QuantumDiscElement.one(q), zstar_z(q), zstar_z(q).power(2)]
-        for x in xs:
-            for y in xs:
-                assert suq2_paired_combination(x, y, self.N) < 1e-8
+        reports = [suq2_residue_cancellation(x, self.N) for x in xs]
+        for rx in reports:
+            for ry in reports:
+                assert suq2_paired_combination(rx, ry) < 1e-8
 
 
 def _random_disc(rng: Random, q: float) -> QuantumDiscElement:

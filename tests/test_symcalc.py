@@ -8,7 +8,7 @@ import pytest
 from spectral_torsion import (CurvatureJet, HomogeneousSymbol, MatrixQQ,
                               Multivector, PiValue, SymbolSum, compose, moment,
                               negative_power, parametrix, qi, sphere_integrate,
-                              sphere_volume, sqrt_symbol, unit_symbol)
+                              sphere_volume, sqrt_symbol)
 from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_is_zero, hs_mul
 from spectral_torsion.torsion import dirac_symbol
 from spectral_torsion.torsion import TorsionTensor
@@ -99,7 +99,8 @@ class TestParametrix:
             d = dirac_symbol(t, dim)
             d2 = compose(d, d)
             p = parametrix(d2)
-            assert _sums_equal(compose(p, d2), unit_symbol(dim))
+            unit = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.unit(dim))})
+            assert _sums_equal(compose(p, d2), unit)
 
     def test_negative_power_composes(self):
         dim = 3
@@ -237,6 +238,12 @@ class TestCurvature:
         good = {(1, 2, 1, 2): Fraction(1), (2, 1, 1, 2): Fraction(-1),
                 (1, 2, 2, 1): Fraction(-1), (2, 1, 2, 1): Fraction(1)}
         CurvatureJet(2, good)
+
+    def test_float_entry_rejected(self):
+        good = {(1, 2, 1, 2): 0.5, (2, 1, 1, 2): Fraction(-1, 2),
+                (1, 2, 2, 1): Fraction(-1, 2), (2, 1, 2, 1): Fraction(1, 2)}
+        with pytest.raises(TypeError, match="not an exact rational"):
+            CurvatureJet(2, good)
 
     def test_spin_connection_antisymmetry(self):
         # jet keys are (direction j, frame pair k l, jet index s);

@@ -227,6 +227,11 @@ class TestPipeline:
         with pytest.raises(ValueError):
             torsion_functional(u3, u3, u3, t, 4)
 
+    def test_float_connection_jet_rejected(self):
+        # Fraction(0.1) kept the binary float exactly: 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="not an exact rational"):
+            dirac_symbol(TorsionTensor.zero(3), 3, {(1, 2, 3, 1): 0.1})
+
 
 class TestSharedResiduePath:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
