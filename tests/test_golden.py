@@ -82,7 +82,10 @@ def test_corpus_value_is_reproduced_exactly(case):
 REPORTS = Path(__file__).parent / "golden" / "reports"
 MASKED_REPORTS = {
     "eval-frame.json": ["eval", "--config", str(REPORTS / "eval-frame.config.json")],
+    "eval-band-7.json": ["eval", "--config", str(REPORTS / "eval-band-7.config.json")],
+    "eval-band-8.json": ["eval", "--config", str(REPORTS / "eval-band-8.config.json")],
     "verify-3-4-5.json": ["verify", "--dims", "3,4,5", "--trials", "5", "--seed", "1"],
+    "verify-6-7-8.json": ["verify", "--dims", "6,7,8", "--trials", "3", "--seed", "1"],
     "doubled-4.json": ["examples", "doubled", "--dims", "4", "--phi", "1+2i"],
     "doubled-4-phi0.json": ["examples", "doubled", "--dims", "4", "--phi", "0"],
     "eym-2.json": ["examples", "eym", "--dims", "2", "--size", "2"],
