@@ -10,12 +10,15 @@ doubled representation g -> diag(g, -g), under which every odd-length word
 verbatim in all dimensions.
 
 Products read each pair of canonical words from one shared table of
-reduce_word results.  When every coefficient of both factors is a QQi, the
-product runs one integer kernel: each output word accumulates a Gaussian-integer
-numerator over one denominator and is reduced to a canonical QQi once, at the
-end.  Any other coefficient ring (MatrixQQ, or QQi on one side and MatrixQQ on
-the other) takes the generic path, one ring multiplication and addition per
-pair of words.
+reduce_word results, and the factors' shapes pick the path.  An empty factor
+gives the empty product.  A one-word factor multiplies through its word: a
+fixed canonical word permutes the canonical words, so each output word is hit
+once and needs no sum, and a QQi +-1 coefficient reuses the other factor's
+coefficients, unchanged or negated, in every ring.  Otherwise, when every
+coefficient of both factors is a QQi, one integer kernel accumulates a
+Gaussian-integer numerator over one denominator per output word and reduces
+it once; any other ring (MatrixQQ, or QQi times MatrixQQ) takes the generic
+path, one ring multiplication and addition per pair of words.
 """
 from __future__ import annotations
 
@@ -112,6 +115,32 @@ def _mul_qqi(left: _QQiTerms, right: _QQiTerms) -> Dict[IndexWord, QQi]:
     return {w: _reduced(re, im, d) for w, (re, im, d) in acc.items() if re or im}
 
 
+def _mul_word(left: Dict[IndexWord, object], right: Dict[IndexWord, object],
+              word_on_left: bool) -> Dict[IndexWord, object]:
+    """The product's terms when one factor holds a single word.
+
+    The other factor's words map one to one onto the output words, so each
+    product is stored as it is formed; only a ring with zero divisors
+    (MatrixQQ) can make one vanish."""
+    table = _WORD_PRODUCTS
+    ((w, c),) = (left if word_on_left else right).items()
+    unit = c._a if type(c) is QQi and c._d == 1 and not c._b and c._a in (1, -1) else 0
+    out: Dict[IndexWord, object] = {}
+    for v, e in (right if word_on_left else left).items():
+        pair = (w, v) if word_on_left else (v, w)
+        product = table.get(pair)
+        if product is None:
+            product = table[pair] = reduce_word(pair[0] + pair[1])
+        sign, word = product
+        if unit:
+            out[word] = e if sign == unit else -e
+        else:
+            coeff = c * e if word_on_left else e * c
+            if coeff:
+                out[word] = coeff if sign > 0 else -coeff
+    return out
+
+
 def _mul_generic(left: Dict[IndexWord, object],
                  right: Dict[IndexWord, object]) -> Dict[IndexWord, object]:
     """The product's terms for any coefficient ring, one ring operation per pair."""
@@ -153,7 +182,9 @@ class Multivector:
     terms maps strictly increasing index tuples to nonzero coefficients; the
     empty tuple is the scalar slot.  Coefficients commute with the gammas
     (they act on an auxiliary space), so products multiply coefficients in
-    encounter order and reduce words independently.
+    encounter order and reduce words independently.  Only constructors write
+    terms, and a Multivector, like its QQi and MatrixQQ coefficients, is never
+    mutated afterwards, so results may share coefficient objects.
     """
 
     __slots__ = ("dim", "terms")
@@ -176,10 +207,6 @@ class Multivector:
     def scalar(dim: int, value: ScalarLike | object) -> "Multivector":
         v = QQi.coerce(value) if isinstance(value, (int, Fraction, QQi)) else value
         return Multivector(dim, {(): v} if v else {})
-
-    @staticmethod
-    def unit(dim: int) -> "Multivector":
-        return Multivector.scalar(dim, QQi(Fraction(1)))
 
     @staticmethod
     def gamma(dim: int, a: int) -> "Multivector":
@@ -219,6 +246,9 @@ class Multivector:
             r = Multivector(self.dim)
             # most block products of the doubled space have an empty factor
             if not self.terms or not other.terms:
+                return r
+            if len(self.terms) == 1 or len(other.terms) == 1:
+                r.terms = _mul_word(self.terms, other.terms, len(self.terms) == 1)
                 return r
             left = _qqi_terms(self.terms)
             right = _qqi_terms(other.terms) if left is not None else None

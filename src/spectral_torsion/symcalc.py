@@ -98,11 +98,28 @@ class HomogeneousSymbol:
         return out
 
 
+def _radial_unit_power(h: HomogeneousSymbol) -> Optional[int]:
+    """r when h is the single term ||xi||^r with the QQi unit as coefficient."""
+    if len(h.terms) != 1:
+        return None
+    ((alpha, rho, xj), mv), = h.terms.items()
+    if xj or any(alpha) or len(mv.terms) != 1:
+        return None
+    c = mv.terms.get(())
+    return rho if type(c) is QQi and c == 1 else None
+
+
 def hs_mul(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymbol:
     """Pointwise product (the |alpha| = 0 part of composition)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     out = HomogeneousSymbol(a.dim, a.degree + b.degree)
+    # a radial unit ||xi||^r only shifts the other factor's norm powers
+    for unit, other in ((a, b), (b, a)):
+        r = _radial_unit_power(unit)
+        if r is not None:
+            out.terms = {(al, rho + r, xj): mv for (al, rho, xj), mv in other.terms.items()}
+            return out
     for (al1, r1, x1), m1 in a.terms.items():
         for (al2, r2, x2), m2 in b.terms.items():
             if x1 and x2:
@@ -230,17 +247,18 @@ def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
         for da in range(lead_a, lead_a - TRACKED, -1):
             db = d - da
             if db in b.parts and da in a.parts:
-                acc = acc + hs_mul(a.parts[da], b.parts[db])
-            # first-order correction: d_xi A at degree da lands at da - 1
+                for key, mv in hs_mul(a.parts[da], b.parts[db]).terms.items():
+                    acc._merge(key, mv)
+            # first-order correction: d_xi A at degree da lands at da - 1,
+            # over the x indices that B's part carries
             dbc = d + 1 - da
             if da in a.parts and dbc in b.parts:
                 bb = b.parts[dbc]
-                for l in range(1, a.dim + 1):
-                    dxb = hs_dx(bb, l)
-                    if dxb:
-                        dxa = hs_dxi(a.parts[da], l)
-                        if dxa:
-                            acc = acc + hs_mul(dxa, dxb).scale(MINUS_I)
+                for l in sorted({xj for (_, _, xj) in bb.terms if xj}):
+                    dxa = hs_dxi(a.parts[da], l)
+                    if dxa:
+                        for key, mv in hs_mul(dxa, hs_dx(bb, l)).terms.items():
+                            acc._merge(key, mv.scale(MINUS_I))
         if acc:
             parts[d] = acc
     return SymbolSum(a.dim, parts)
@@ -367,13 +385,22 @@ def moment(alpha: Iterable[int], dim: int) -> Fraction:
 
 def sphere_integrate(h: HomogeneousSymbol) -> Multivector:
     """Integrate over ||xi|| = 1 at x = 0; result is in units of V(S^{n-1})."""
-    out = Multivector(h.dim)
+    acc: Dict[Tuple[int, ...], object] = {}
     for (alpha, _rho, xj), mv in h.terms.items():
         if xj:
             continue  # x = 0 at the base point
         c = moment(alpha, h.dim)
         if c:
-            out = out + mv.scale(c)
+            c = QQi.coerce(c)
+            for word, coeff in mv.terms.items():
+                s = acc.get(word)
+                s = c * coeff if s is None else s + c * coeff
+                if s:
+                    acc[word] = s
+                else:
+                    acc.pop(word, None)
+    out = Multivector(h.dim)
+    out.terms = acc
     return out
 
 

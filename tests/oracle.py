@@ -2,7 +2,8 @@
 Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
 expansion of the torsion residue that bypasses the parametrix machinery, the
 dense matrix product over QQi entries, the Clifford product one word pair at a
-time, and the noncommutative-torus product one pair of modes at a time."""
+time, the noncommutative-torus product one pair of modes at a time, and symbol
+composition and sphere integration with a fresh sum per term."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -14,9 +15,10 @@ import math
 
 import numpy as np
 
-from spectral_torsion import (MatrixQQ, Multivector, OneForm, QQi,
-                              ResidueValue, TorsionTensor, TorusElement, clifford_trace,
-                              qi, reduce_word)
+from spectral_torsion import (HomogeneousSymbol, MatrixQQ, Multivector, OneForm, QQi,
+                              ResidueValue, SymbolSum, TorsionTensor, TorusElement,
+                              clifford_trace, moment, qi, reduce_word)
+from spectral_torsion.symcalc import MINUS_I, TRACKED, hs_dx, hs_dxi
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -95,6 +97,63 @@ def reference_product(a: Multivector, b: Multivector) -> Multivector:
             term = c1 * c2 * qi(sign)
             out[word] = out[word] + term if word in out else term
     return Multivector(a.dim, out)
+
+
+def reference_hs_mul(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymbol:
+    """Pointwise symbol product, every pair of terms through reference_product."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    out = HomogeneousSymbol(a.dim, a.degree + b.degree)
+    for (al1, r1, x1), m1 in a.terms.items():
+        for (al2, r2, x2), m2 in b.terms.items():
+            if x1 and x2:
+                continue  # x^2 exceeds the jet order
+            key = (tuple(p + q for p, q in zip(al1, al2)), r1 + r2, x1 or x2)
+            out._merge(key, reference_product(m1, m2))
+    return out
+
+
+def reference_compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
+    """Symbol composition as a copy-per-sum: each product is added to a fresh
+    accumulator, and the first-order correction runs over every x index."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    if not a.parts or not b.parts:
+        return SymbolSum(a.dim, {})
+    lead_a = a.leading_degree
+    lead = lead_a + b.leading_degree
+    parts = {}
+    for d in range(lead, lead - TRACKED, -1):
+        acc = HomogeneousSymbol(a.dim, d)
+        for da in range(lead_a, lead_a - TRACKED, -1):
+            db = d - da
+            if db in b.parts and da in a.parts:
+                acc = acc + reference_hs_mul(a.parts[da], b.parts[db])
+            # first-order correction: d_xi A at degree da lands at da - 1
+            dbc = d + 1 - da
+            if da in a.parts and dbc in b.parts:
+                bb = b.parts[dbc]
+                for l in range(1, a.dim + 1):
+                    dxb = hs_dx(bb, l)
+                    if dxb:
+                        dxa = hs_dxi(a.parts[da], l)
+                        if dxa:
+                            acc = acc + reference_hs_mul(dxa, dxb).scale(MINUS_I)
+        if acc:
+            parts[d] = acc
+    return SymbolSum(a.dim, parts)
+
+
+def reference_sphere_integrate(h: HomogeneousSymbol) -> Multivector:
+    """Sphere integral at x = 0 as one Multivector sum per term."""
+    out = Multivector(h.dim)
+    for (alpha, _rho, xj), mv in h.terms.items():
+        if xj:
+            continue  # x = 0 at the base point
+        c = moment(alpha, h.dim)
+        if c:
+            out = out + mv.scale(c)
+    return out
 
 
 def torsion_cube(t: TorsionTensor) -> Multivector:

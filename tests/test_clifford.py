@@ -63,7 +63,7 @@ def _random_multivector(rng: Random, dim: int, terms: int = 3) -> Multivector:
 class TestMultivector:
     def test_gamma_square(self):
         g1 = Multivector.gamma(4, 1)
-        assert g1 * g1 == Multivector.unit(4)
+        assert g1 * g1 == Multivector.scalar(4, 1)
 
     def test_anticommutation(self):
         g1, g2 = Multivector.gamma(4, 1), Multivector.gamma(4, 2)
@@ -194,7 +194,7 @@ class TestQQiKernel:
         # x(1 + g) times (1 - g)y is x(1 - g^2)y = 0: every word cancels
         x, y = pair
         g = Multivector.gamma(x.dim, data.draw(st.integers(1, x.dim)))
-        one = Multivector.unit(x.dim)
+        one = Multivector.scalar(x.dim, 1)
         left, right = x * (one + g), (one - g) * y
         assert (left * right).terms == {}
 
@@ -206,7 +206,7 @@ class TestQQiKernel:
         # both sides scaled, with different denominators: the scalar word cancels
         got = (g1 + g2).scale(third) * (g1 - g2).scale(quarter_i)
         assert got.terms == {(1, 2): qi(0, Fraction(-1, 6))}
-        one = Multivector.unit(4)
+        one = Multivector.scalar(4, 1)
         assert ((one + g1).scale(third) * (one - g1).scale(quarter_i)).terms == {}
 
     @given(_qqi_pair(), st.data())
@@ -271,11 +271,93 @@ class TestQQiKernel:
             assert got.terms == reference_product(a, b).terms
 
 
+class TestOneWordFactor:
+    """A factor with one word multiplies through that word; it must agree with
+    the pair-by-pair reference for every coefficient ring and on either side."""
+
+    DIM = 4
+    WORDS = [w for k in range(5) for w in combinations(range(1, 5), k)]
+    COEFFS = [qi(1), qi(-1), qi(0, 1), qi(0, -1), qi(Fraction(1, 2)),
+              MatrixQQ.from_rows([[qi(1), qi(2, -1)], [qi(0), qi(Fraction(1, 3))]])]
+
+    def _others(self):
+        rng = Random(31)
+
+        def words():
+            return {tuple(sorted(rng.sample(range(1, self.DIM + 1), rng.randint(0, self.DIM))))
+                    for _ in range(5)}
+        scalars = Multivector(self.DIM, {w: qi(rng.randint(-5, 5) or 1, rng.randint(-3, 3))
+                                         for w in words()})
+        matrices = Multivector(self.DIM, {w: MatrixQQ([[qi(rng.randint(-3, 3), rng.randint(-2, 2))
+                                                        for _ in range(2)] for _ in range(2)])
+                                          for w in words()})
+        return scalars, matrices
+
+    def test_both_factors_one_word(self):
+        for w1 in self.WORDS:
+            for w2 in self.WORDS:
+                for c1, c2 in ((qi(-1), qi(0, 1)), (qi(Fraction(1, 2)), self.COEFFS[-1]),
+                               (self.COEFFS[-1], qi(0, -1))):
+                    a, b = Multivector(self.DIM, {w1: c1}), Multivector(self.DIM, {w2: c2})
+                    got = a * b
+                    assert len(got.terms) == 1
+                    assert got.terms == reference_product(a, b).terms
+
+    def test_zero_divisor_matrix_product_is_dropped(self):
+        # e11 * e22 = 0 in M_2: the only word vanishes
+        e11 = Multivector(self.DIM, {(1,): MatrixQQ.unit(2, 0, 0)})
+        e22 = Multivector(self.DIM, {(1, 2): MatrixQQ.unit(2, 1, 1),
+                                     (3,): MatrixQQ.unit(2, 0, 1)})
+        got = e11 * e22
+        assert got.terms == reference_product(e11, e22).terms == {(1, 3): MatrixQQ.unit(2, 0, 1)}
+
+    def test_unit_coefficient_reuses_the_other_factors_coefficients(self):
+        g2 = Multivector.gamma(self.DIM, 2)
+        for x in self._others():
+            left, right = (g2 * x).terms, (x * g2).terms
+            for v, e in x.terms.items():
+                for got, (sign, word) in ((left, reduce_word((2,) + v)),
+                                          (right, reduce_word(v + (2,)))):
+                    assert got[word] is e if sign > 0 else got[word] == -e
+            got = (Multivector.scalar(self.DIM, 1) * x).terms
+            assert all(got[w] is c for w, c in x.terms.items())
+
+    def test_matches_reference_on_either_side_without_a_pair_loop(self, monkeypatch):
+        def no_kernel(left, right):
+            raise AssertionError("a one-word factor entered a pair-loop kernel")
+        monkeypatch.setattr(clifford, "_mul_qqi", no_kernel)
+        monkeypatch.setattr(clifford, "_mul_generic", no_kernel)
+        others = self._others()
+        assert all(len(x.terms) > 2 for x in others)
+        for word in self.WORDS:
+            for c in self.COEFFS:
+                one = Multivector(self.DIM, {word: c})
+                for x in others + (one,):
+                    assert (one * x).terms == reference_product(one, x).terms
+                    assert (x * one).terms == reference_product(x, one).terms
+
+    def test_missing_pairs_still_call_reduce_word(self, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return reduce_word(word)
+        monkeypatch.setattr(clifford, "_WORD_PRODUCTS", {})
+        monkeypatch.setattr(clifford, "reduce_word", counted)
+        g1 = Multivector.gamma(self.DIM, 1)
+        x = Multivector(self.DIM, {(): qi(2), (1, 2): qi(0, 1), (3,): qi(-1)})
+        assert (g1 * x).terms == reference_product(g1, x).terms
+        assert (x * g1).terms == reference_product(x, g1).terms
+        assert sorted(calls) == sorted([(1,), (1, 1, 2), (1, 3), (1,), (1, 2, 1), (3, 1)])
+        g1 * x
+        assert len(calls) == 6
+
+
 class TestTrace:
     def test_scalar_normalization(self):
         for dim in (2, 3, 4, 5, 6):
             assert trace_power(dim) == (dim + 1) // 2
-            assert clifford_trace(Multivector.unit(dim)) == qi(2 ** trace_power(dim))
+            assert clifford_trace(Multivector.scalar(dim, 1)) == qi(2 ** trace_power(dim))
 
     def test_words_traceless(self):
         for dim in (2, 3, 4):
@@ -304,7 +386,7 @@ class TestChirality:
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_squares_to_one(self, dim):
         c = chirality(dim)
-        assert c * c == Multivector.unit(dim)
+        assert c * c == Multivector.scalar(dim, 1)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_anticommutes_with_generators(self, dim):

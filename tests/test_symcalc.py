@@ -4,16 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_torsion import (CurvatureJet, HomogeneousSymbol, MatrixQQ,
                               Multivector, PiValue, SymbolSum, compose, moment,
                               negative_power, parametrix, qi, sphere_integrate,
                               sphere_volume, sqrt_symbol)
 from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_is_zero, hs_mul
+import spectral_torsion.symcalc as symcalc
 from spectral_torsion.torsion import dirac_symbol
 from spectral_torsion.torsion import TorsionTensor
 
-from oracle import mc_sphere_average, sphere_batch
+from oracle import (mc_sphere_average, reference_compose, reference_hs_mul,
+                    reference_sphere_integrate, sphere_batch)
 
 
 def _sym(dim: int, degree: int, entries) -> HomogeneousSymbol:
@@ -36,36 +40,36 @@ class TestHomogeneous:
     def test_radial_identity_recognized(self):
         # sum_j xi_j^2  ==  ||xi||^2
         dim = 3
-        poly = _sym(dim, 2, [((2, 0, 0), 0, 0, Multivector.unit(dim)),
-                             ((0, 2, 0), 0, 0, Multivector.unit(dim)),
-                             ((0, 0, 2), 0, 0, Multivector.unit(dim))])
-        radial = HomogeneousSymbol.radial(dim, 2, Multivector.unit(dim))
+        poly = _sym(dim, 2, [((2, 0, 0), 0, 0, Multivector.scalar(dim, 1)),
+                             ((0, 2, 0), 0, 0, Multivector.scalar(dim, 1)),
+                             ((0, 0, 2), 0, 0, Multivector.scalar(dim, 1))])
+        radial = HomogeneousSymbol.radial(dim, 2, Multivector.scalar(dim, 1))
         assert hs_is_zero(poly - radial)
         assert not hs_is_zero(poly.scale(qi(2)) - radial)
 
     def test_monomial_is_not_radial(self):
         dim = 2
-        xi1sq = _sym(dim, 2, [((2, 0), 0, 0, Multivector.unit(dim))])
-        radial = HomogeneousSymbol.radial(dim, 2, Multivector.unit(dim))
+        xi1sq = _sym(dim, 2, [((2, 0), 0, 0, Multivector.scalar(dim, 1))])
+        radial = HomogeneousSymbol.radial(dim, 2, Multivector.scalar(dim, 1))
         assert not hs_is_zero(xi1sq - radial)
 
     def test_homogeneity_enforced(self):
         with pytest.raises(ValueError):
-            HomogeneousSymbol(2, 1, {((2, 0), 0, 0): Multivector.unit(2)})
+            HomogeneousSymbol(2, 1, {((2, 0), 0, 0): Multivector.scalar(2, 1)})
 
     def test_derivatives(self):
         dim = 2
         # d/dxi_1 (xi_1^2 ||xi||^-1) = 2 xi_1 ||xi||^-1 - xi_1^3 ||xi||^-3
-        h = _sym(dim, 1, [((2, 0), -1, 0, Multivector.unit(dim))])
-        want = _sym(dim, 0, [((1, 0), -1, 0, Multivector.unit(dim).scale(qi(2))),
-                             ((3, 0), -3, 0, Multivector.unit(dim).scale(qi(-1)))])
+        h = _sym(dim, 1, [((2, 0), -1, 0, Multivector.scalar(dim, 1))])
+        want = _sym(dim, 0, [((1, 0), -1, 0, Multivector.scalar(dim, 1).scale(qi(2))),
+                             ((3, 0), -3, 0, Multivector.scalar(dim, 1).scale(qi(-1)))])
         assert hs_is_zero(hs_dxi(h, 1) - want)
 
     def test_x_derivative_drops_jet(self):
         dim = 2
-        h = _sym(dim, 0, [((0, 0), 0, 1, Multivector.unit(dim))])  # x_1 * 1
+        h = _sym(dim, 0, [((0, 0), 0, 1, Multivector.scalar(dim, 1))])  # x_1 * 1
         got = hs_dx(h, 1)
-        want = _sym(dim, 0, [((0, 0), 0, 0, Multivector.unit(dim))])
+        want = _sym(dim, 0, [((0, 0), 0, 0, Multivector.scalar(dim, 1))])
         assert hs_is_zero(got - want)
         assert not hs_dx(h, 2)
 
@@ -82,7 +86,7 @@ class TestCompose:
         # operators gives -i d/dx_1 (x_1 (-i d/dx_1)) = x_1 xi_1^2 - i xi_1,
         # so the degree-1 component of A#B must be -i xi_1.
         dim = 2
-        one = Multivector.unit(dim)
+        one = Multivector.scalar(dim, 1)
         a = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, one)])})
         b = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 1, one)])})
         got = compose(a, b)
@@ -92,6 +96,131 @@ class TestCompose:
         assert hs_is_zero(got.component(1) - corr)
 
 
+# coefficients: small Gaussian rationals, or 2x2 matrices over them
+_parts = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_qqi = st.builds(qi, _parts, _parts).filter(bool)
+_matrix = st.lists(_qqi | st.just(qi(0)), min_size=4, max_size=4).map(
+    lambda e: MatrixQQ.from_rows([e[:2], e[2:]])).filter(bool)
+
+
+@st.composite
+def _coefficient(draw, dim: int, ring: str) -> Multivector:
+    words = st.frozensets(st.integers(1, dim)).map(lambda ws: tuple(sorted(ws)))
+    return Multivector(dim, draw(st.dictionaries(
+        words, _qqi if ring == "qqi" else _matrix, min_size=1, max_size=3)))
+
+
+@st.composite
+def _homogeneous(draw, dim: int, degree: int, ring: str) -> HomogeneousSymbol:
+    """Up to four terms, each with an x factor with probability dim / (dim + 2)."""
+    h = HomogeneousSymbol(dim, degree)
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = tuple(draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)))
+        xj = draw(st.sampled_from([0, 0] + list(range(1, dim + 1))))
+        h._merge((alpha, degree - sum(alpha), xj), draw(_coefficient(dim, ring)))
+    return h
+
+
+def _radial_unit(dim: int, degree: int) -> HomogeneousSymbol:
+    return HomogeneousSymbol.radial(dim, degree, Multivector.scalar(dim, 1))
+
+
+@st.composite
+def _symbol(draw, dim: int, lead: int, ring: str, unit_lead: bool) -> SymbolSum:
+    top = _radial_unit(dim, lead) if unit_lead else draw(_homogeneous(dim, lead, ring))
+    return SymbolSum(dim, {lead: top, lead - 1: draw(_homogeneous(dim, lead - 1, ring))})
+
+
+@st.composite
+def _symbol_pair(draw):
+    """Two symbols with QQi, MatrixQQ or mixed coefficients; a radial unit
+    leads the left one, the right one, both or neither."""
+    dim = draw(st.integers(2, 4))
+    rings = draw(st.sampled_from([("qqi", "qqi"), ("matrix", "matrix"),
+                                  ("qqi", "matrix"), ("matrix", "qqi")]))
+    units = draw(st.sampled_from([(True, False), (False, True), (True, True), (False, False)]))
+    # a QQi unit in a MatrixQQ symbol facing a QQi one would make compose add
+    # QQi to MatrixQQ coefficients, a sum the rings do not define
+    units = [u and not (ring == "matrix" and other == "qqi")
+             for u, ring, other in zip(units, rings, rings[::-1])]
+    return tuple(draw(_symbol(dim, draw(st.integers(-3, 2)), ring, unit))
+                 for ring, unit in zip(rings, units))
+
+
+def _parts_equal(got: SymbolSum, want: SymbolSum) -> bool:
+    return got.dim == want.dim and {d: h.terms for d, h in got.parts.items()} == \
+        {d: h.terms for d, h in want.parts.items()}
+
+
+class TestAgainstReference:
+    """compose, hs_mul and sphere_integrate against the copy-per-sum versions in
+    the oracle, every part and every coefficient exactly."""
+
+    @given(_symbol_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_compose_matches_copy_per_sum_reference(self, pair):
+        a, b = pair
+        assert _parts_equal(compose(a, b), reference_compose(a, b))
+
+    def test_radial_unit_shares_the_other_factors_coefficients(self):
+        dim = 3
+        g12 = Multivector.gamma(dim, 1) * Multivector.gamma(dim, 2)
+        h = _sym(dim, 1, [((1, 0, 0), 0, 2, g12), ((2, 0, 0), -1, 0, g12.scale(qi(0, 3)))])
+        for got in (hs_mul(_radial_unit(dim, -2), h), hs_mul(h, _radial_unit(dim, -2))):
+            assert got.degree == -1
+            assert got.terms == {((1, 0, 0), -2, 2): h.terms[((1, 0, 0), 0, 2)],
+                                 ((2, 0, 0), -3, 0): h.terms[((2, 0, 0), -1, 0)]}
+            assert all(got.terms[k] is h.terms[(k[0], k[1] + 2, k[2])] for k in got.terms)
+
+    def test_non_unit_radial_factors_take_the_product(self):
+        # 2 ||xi||^-2, an x-linear ||xi||^-2 and a matrix one are not radial units
+        dim = 2
+        g1 = Multivector.gamma(dim, 1)
+        h = _sym(dim, 1, [((1, 0), 0, 0, g1)])
+        matrix_one = Multivector.scalar(dim, MatrixQQ.identity(2))
+        for f in (HomogeneousSymbol.radial(dim, -2, Multivector.scalar(dim, 2)),
+                  _sym(dim, -2, [((0, 0), -2, 1, Multivector.scalar(dim, 1))]),
+                  HomogeneousSymbol.radial(dim, -2, matrix_one)):
+            for got, want in ((hs_mul(f, h), reference_hs_mul(f, h)),
+                              (hs_mul(h, f), reference_hs_mul(h, f))):
+                assert got.terms == want.terms
+
+    def test_first_order_correction_runs_only_over_carried_x_indices(self, monkeypatch):
+        seen = []
+
+        def counted(h, l):
+            seen.append(l)
+            return hs_dx(h, l)
+        monkeypatch.setattr(symcalc, "hs_dx", counted)
+        dim = 4
+        one = Multivector.scalar(dim, 1)
+        a = SymbolSum(dim, {1: _sym(dim, 1, [((0, 0, 1, 1), -1, 0, one)])})
+        b = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0, 0, 0), 0, 3, one)])})
+        assert _parts_equal(compose(a, b), reference_compose(a, b))
+        assert seen == [3]
+        seen.clear()
+        d = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
+        assert _parts_equal(compose(d, d), reference_compose(d, d))
+        assert seen == []
+
+    @given(st.integers(2, 4).flatmap(lambda dim: st.sampled_from(["qqi", "matrix"]).flatmap(
+        lambda ring: _homogeneous(dim, -dim, ring))))
+    @settings(max_examples=50, deadline=None)
+    def test_sphere_integrate_matches_per_term_sums(self, h):
+        got, want = sphere_integrate(h), reference_sphere_integrate(h)
+        assert got.dim == want.dim and got.terms == want.terms
+
+    def test_sphere_integrate_drops_a_cancelled_word(self):
+        # <xi_1^2> - <xi_2^2> = 0 on the g^1 word; the g^2 word survives
+        dim = 3
+        g1, g2 = Multivector.gamma(dim, 1), Multivector.gamma(dim, 2)
+        h = _sym(dim, -dim, [((2, 0, 0), -dim - 2, 0, g1 + g2),
+                             ((0, 2, 0), -dim - 2, 0, g1.scale(qi(-1)))])
+        got = sphere_integrate(h)
+        assert got.terms == {(2,): qi(Fraction(1, 3))}
+        assert got == reference_sphere_integrate(h)
+
+
 class TestParametrix:
     def test_right_inverse_of_dirac_square(self):
         for dim in (3, 4):
@@ -99,7 +228,8 @@ class TestParametrix:
             d = dirac_symbol(t, dim)
             d2 = compose(d, d)
             p = parametrix(d2)
-            unit = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.unit(dim))})
+            one = HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, 1))
+            unit = SymbolSum(dim, {0: one})
             assert _sums_equal(compose(p, d2), unit)
 
     def test_negative_power_composes(self):
@@ -113,7 +243,7 @@ class TestParametrix:
 
     def test_requires_scalar_leading(self):
         dim = 2
-        bad = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, Multivector.unit(dim))])})
+        bad = SymbolSum(dim, {1: _sym(dim, 1, [((1, 0), 0, 0, Multivector.scalar(dim, 1))])})
         with pytest.raises(ValueError):
             parametrix(bad)
 
@@ -146,7 +276,7 @@ class TestSqrt:
     def test_rejects_non_laplacian_leading(self):
         dim = 2
         a = SymbolSum(dim, {2: HomogeneousSymbol.radial(
-            dim, 2, Multivector.unit(dim).scale(qi(2)))})
+            dim, 2, Multivector.scalar(dim, 1).scale(qi(2)))})
         with pytest.raises(ValueError):
             sqrt_symbol(a)
 
@@ -187,7 +317,7 @@ class TestMoments:
 
     def test_sphere_integrate_drops_odd(self):
         dim = 3
-        h = _sym(dim, -dim, [((1, 0, 0), -dim - 1, 0, Multivector.unit(dim))])
+        h = _sym(dim, -dim, [((1, 0, 0), -dim - 1, 0, Multivector.scalar(dim, 1))])
         assert not sphere_integrate(h)
         g12 = Multivector.gamma(dim, 1) * Multivector.gamma(dim, 2)
         mixed = _sym(dim, -dim, [((1, 1, 0), -dim - 2, 0, g12)])

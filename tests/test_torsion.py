@@ -201,9 +201,9 @@ class TestPipeline:
         assert torsion_functional(u, v, w, tsum, dim) == \
             torsion_functional(u, v, w, t1, dim) + torsion_functional(u, v, w, t2, dim)
 
-    def test_curvature_yet_unseen(self):
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_curvature_yet_unseen(self, dim):
         # x-linear connection terms cannot reach the residue: value unchanged
-        dim = 4
         lam = Fraction(1, 2)
         riem = {}
         for a in range(1, dim + 1):
