@@ -281,6 +281,86 @@ class TestSqrt:
             sqrt_symbol(a)
 
 
+RINGS = {"qqi": lambda c: qi(c), "matrix": lambda c: MatrixQQ.identity(2) * c}
+
+
+def _leading(dim: int, degree: int, entries, ring: str) -> SymbolSum:
+    """One-component symbol; entries: (alpha, rho, xj, scalar, word) with the
+    scalar taken in the ring and placed on the Clifford word."""
+    one = RINGS[ring]
+    return SymbolSum(dim, {degree: _sym(dim, degree, [
+        (alpha, rho, xj, Multivector(dim, {word: one(c)}))
+        for alpha, rho, xj, c, word in entries])})
+
+
+def _squares(dim: int, rho: int, coeffs, words=None):
+    """sum_j c_j xi_j^2 ||xi||^rho, each on the given word (scalar word by default)."""
+    words = words or [()] * dim
+    return [(tuple(2 * (k == j) for k in range(dim)), rho, 0, c, w)
+            for j, (c, w) in enumerate(zip(coeffs, words))]
+
+
+class TestLeadingPart:
+    """parametrix and sqrt_symbol accept a leading part that equals
+    c ||xi||^p times the unit however it is spelled, and refuse every other one."""
+
+    NON_RADIAL = {
+        "xi1-squared-alone": (2, _squares(2, 0, [1], [()])),
+        "unequal-squares": (2, _squares(2, 0, [1, 2])),
+        "one-square-on-a-word": (3, _squares(3, 0, [1, 1, 1], [(), (), (1, 2)])),
+        "first-square-on-a-word": (3, _squares(3, 0, [1, 1, 1], [(1, 2), (), ()])),
+        "x-linear": (2, _squares(2, 0, [1, 1]) + [((2, 0), 0, 1, 1, ())]),
+    }
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @pytest.mark.parametrize("case", sorted(NON_RADIAL))
+    def test_non_radial_leading_rejected(self, case, ring):
+        dim, entries = self.NON_RADIAL[case]
+        a = _leading(dim, 2, entries, ring)
+        for op in (parametrix, sqrt_symbol):
+            with pytest.raises(ValueError, match="not a radial scalar"):
+                op(a)
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_radial_plus_sum_of_squares_accepted(self, dim, ring):
+        # 3 ||xi||^2 - 2 sum_j xi_j^2 = ||xi||^2, and 5 ||xi||^2 - 2 sum_j xi_j^2 = 3 ||xi||^2
+        for c0, c in ((3, 1), (5, 3)):
+            mixed = _leading(dim, 2, [((0,) * dim, 2, 0, c0, ())]
+                             + _squares(dim, 0, [-2] * dim), ring)
+            radial = _leading(dim, 2, [((0,) * dim, 2, 0, c, ())], ring)
+            assert _parts_equal(parametrix(mixed), parametrix(radial))
+            if c == 1:
+                assert _parts_equal(sqrt_symbol(mixed), sqrt_symbol(radial))
+            else:
+                with pytest.raises(ValueError, match="sqrt requires"):
+                    sqrt_symbol(mixed)
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_sum_of_squares_alone_accepted(self, ring):
+        dim = 3
+        squares = _leading(dim, 2, _squares(dim, 0, [2] * dim), ring)
+        radial = _leading(dim, 2, [((0,) * dim, 2, 0, 2, ())], ring)
+        assert _parts_equal(parametrix(squares), parametrix(radial))
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_fourth_power_as_monomials_accepted(self, ring):
+        # (xi_1^2 + xi_2^2)^2 = xi_1^4 + 2 xi_1^2 xi_2^2 + xi_2^4
+        dim = 2
+        quartic = _leading(dim, 4, [((4, 0), 0, 0, 1, ()), ((2, 2), 0, 0, 2, ()),
+                                    ((0, 4), 0, 0, 1, ())], ring)
+        radial = _leading(dim, 4, [((0, 0), 4, 0, 1, ())], ring)
+        assert _parts_equal(parametrix(quartic), parametrix(radial))
+        with pytest.raises(ValueError, match="sqrt requires"):
+            sqrt_symbol(quartic)
+
+    def test_zero_radial_sum_rejected(self):
+        # ||xi||^2 - sum_j xi_j^2 vanishes identically
+        a = _leading(2, 2, [((0, 0), 2, 0, 1, ())] + _squares(2, 0, [-1, -1]), "qqi")
+        with pytest.raises(ValueError, match="not a multiple of the unit"):
+            parametrix(a)
+
+
 class TestMoments:
     def test_exact_values(self):
         assert moment((0, 0, 0, 0), 4) == 1
