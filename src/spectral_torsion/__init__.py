@@ -31,10 +31,9 @@ from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
                                 left_mult_matrix)
 from .qmodels import (CancellationReport, ConvergenceError, FormalSeries,
                       QuantumDiscElement, Suq2DiracSpec, TorusElement,
-                      antisymmetric_theta, disc_represent,
-                      disc_truncated_trace, suq2_paired_combination,
-                      suq2_residue_cancellation, tau1, torus_exp,
-                      torus_trace_identity, zstar_z)
+                      antisymmetric_theta, disc_truncated_trace,
+                      suq2_paired_combination, suq2_residue_cancellation,
+                      tau1, torus_exp, torus_trace_identity, zstar_z)
 from .sampling import (random_anti_hermitian_traceless, random_contorsion,
                        random_fraction, random_one_form, random_qqi,
                        random_theta, random_torsion, random_torus_h, seeded)
@@ -51,7 +50,7 @@ __all__ = [
     "antisymmetric_theta", "canonicalize", "chirality",
     "chirality_functional", "clifford_action", "clifford_trace",
     "closed_form_torsion", "compose", "contorsion_from_torsion",
-    "dirac_symbol", "disc_represent", "disc_truncated_trace",
+    "dirac_symbol", "disc_truncated_trace",
     "doubled_spanning_forms", "doubled_torsion_free_test",
     "eym_dirac_symbol", "eym_torsion_density", "inverse_power_symbol",
     "lead_residue", "left_mult_matrix", "levi_civita_from_structure",

@@ -160,15 +160,17 @@ def _torsion_from_config(entries, dim: int) -> TorsionTensor:
         # a string of digits would pass as a list of indices
         if not (isinstance(item, dict) and isinstance(item.get("indices"), list)):
             raise ConfigError(f"malformed torsion entry {item!r}")
+        idx = tuple(_int_option(i, "torsion index") for i in item["indices"])
         try:
-            idx = tuple(int(i) for i in item["indices"])
             val = parse_rational(str(item["value"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"malformed torsion entry {item!r}") from exc
         if len(idx) != 3 or not (idx[0] < idx[1] < idx[2]):
             raise ConfigError(f"non-increasing index triple: {list(idx)}")
         if not all(1 <= i <= dim for i in idx):
             raise ConfigError(f"torsion index out of range for n={dim}: {list(idx)}")
+        if idx in parsed:
+            raise ConfigError(f"repeated torsion index triple: {list(idx)}")
         parsed[idx] = val
     return TorsionTensor(dim, parsed)
 

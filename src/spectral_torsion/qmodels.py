@@ -25,10 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import math
-
-import numpy as np
-
 
 class ConvergenceError(RuntimeError):
     """Successive truncations disagree beyond tolerance."""
@@ -155,8 +151,11 @@ def _weyl_sum(theta, pairs) -> TorusElement:
     Per pair, every phase exp(-i pi P theta Q^T) at once, times the outer
     product of the coefficients; then one sort over all pairs' terms groups
     them by output mode p + q, one reduction sums each group, and exact
-    zeros are dropped.
+    zeros are dropped.  NumPy is imported here, at the first torus product,
+    so that importing the package loads only the standard library.
     """
+    import numpy as np
+
     th = np.array(theta)
     modes, vals = [], []
     for a, b in pairs:
@@ -376,29 +375,6 @@ def zstar_z(q: float) -> QuantumDiscElement:
     return QuantumDiscElement.zstar(q) * QuantumDiscElement.z(q)
 
 
-def disc_represent(x: QuantumDiscElement, n_trunc: int) -> np.ndarray:
-    """Truncated representation on span(e_0..e_N): pi(z) e_k = sqrt(1-q^{2(k+1)}) e_{k+1}.
-
-    Operators are multiplied on an enlarged space and cut down afterwards, so
-    entries inside the window are exactly those of the infinite representation.
-    """
-    q = x.q
-    big = n_trunc + x.total_degree() + 2
-    z_mat = np.zeros((big, big), dtype=complex)
-    for k in range(big - 1):
-        z_mat[k + 1, k] = math.sqrt(1.0 - q ** (2 * (k + 1)))
-    zs_mat = z_mat.conj().T
-    out = np.zeros((big, big), dtype=complex)
-    for (a, c), v in x.coeffs.items():
-        m = np.eye(big, dtype=complex)
-        for _ in range(a):
-            m = m @ z_mat
-        for _ in range(c):
-            m = m @ zs_mat
-        out += v * m
-    return out[:n_trunc + 1, :n_trunc + 1]
-
-
 def _diag_weight(a: int, k: int, q: float) -> float:
     """<e_k| pi(z^a z*^a) |e_k> = prod_{i=0}^{a-1} (1 - q^{2(k-i)})."""
     w = 1.0
@@ -412,7 +388,8 @@ def _diag_weight(a: int, k: int, q: float) -> float:
 
 def disc_truncated_trace(x: QuantumDiscElement, n_trunc: int) -> complex:
     """Tr over e_0..e_N of the represented element; only z^a z*^a terms hit the
-    diagonal.  Matches disc_represent(x, N).trace() exactly."""
+    diagonal.  Matches the trace of the dense truncation
+    tests/oracle.py:disc_represent(x, N) exactly."""
     total = 0j
     for (a, c), v in x.coeffs.items():
         if a != c:

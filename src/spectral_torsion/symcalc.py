@@ -281,14 +281,43 @@ def _unit_scalar(mv: Multivector):
     return diag, one
 
 
+def _radial_spelling(hs: HomogeneousSymbol) -> Optional[Multivector]:
+    """C0 + C1 when hs is C0 ||xi||^p + sum_j C1 xi_j^2 ||xi||^(p-2), either part
+    alone or both, C1 shared by every j and no x factor; None for any other
+    spelling.  These are the two spellings compositions produce."""
+    dim = hs.dim
+    c0 = c1 = None
+    squares = 0
+    for (alpha, _, xj), mv in hs.terms.items():
+        if xj:
+            return None
+        if not any(alpha):
+            c0 = mv
+            continue
+        if sum(alpha) != 2 or 2 not in alpha or (c1 is not None and mv != c1):
+            return None
+        c1 = mv
+        squares += 1
+    if c1 is None:
+        return c0
+    if squares != dim:
+        return None
+    return c1 if c0 is None else c0 + c1
+
+
 def _leading_scalar(hs: HomogeneousSymbol):
     """Require the leading part to equal c * ||xi||^p * unit; return (p, c, one).
 
     c is the invertible QQi factor and `one` the ring identity coefficient it
     multiplies (QQi one, or an identity matrix for matrix coefficients).
-    Compositions spell ||xi||^2 as sum_j xi_j^2, so the radial form is
-    reconstructed by evaluating at xi = e_1 and verified exactly.
+    Compositions spell ||xi||^2 as sum_j xi_j^2, which _radial_spelling reads
+    in one pass; any other spelling has its radial form reconstructed by
+    evaluating at xi = e_1 and verified exactly.
     """
+    cand = _radial_spelling(hs)
+    if cand is not None:
+        c, one = _unit_scalar(cand)
+        return hs.degree, c, one
     if any(xj != 0 for (_, _, xj) in hs.terms):
         raise ValueError("leading term is not a radial scalar")
     # value at xi = e_1: only terms whose monomial part lives on coordinate 1

@@ -2,8 +2,10 @@
 Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
 expansion of the torsion residue that bypasses the parametrix machinery, the
 dense matrix product over QQi entries, the Clifford product one word pair at a
-time, the noncommutative-torus product one pair of modes at a time, and symbol
-composition and sphere integration with a fresh sum per term."""
+time, the noncommutative-torus product one pair of modes at a time, symbol
+composition and sphere integration with a fresh sum per term, the dense
+truncated quantum-disc representation, and the grade law for the sphere
+average of a potential."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -16,8 +18,9 @@ import math
 import numpy as np
 
 from spectral_torsion import (HomogeneousSymbol, MatrixQQ, Multivector, OneForm, QQi,
-                              ResidueValue, SymbolSum, TorsionTensor, TorusElement,
-                              clifford_trace, moment, qi, reduce_word)
+                              QuantumDiscElement, ResidueValue, SymbolSum,
+                              TorsionTensor, TorusElement, clifford_trace, moment,
+                              qi, reduce_word)
 from spectral_torsion.symcalc import MINUS_I, TRACKED, hs_dx, hs_dxi
 
 ID2 = MatrixQQ.identity(2)
@@ -184,6 +187,45 @@ def torus_product(a: TorusElement, b: TorusElement) -> TorusElement:
             else:
                 out.pop(r, None)
     return TorusElement(a.theta, out)
+
+
+def disc_represent(x: QuantumDiscElement, n_trunc: int) -> np.ndarray:
+    """Truncated representation on span(e_0..e_N): pi(z) e_k = sqrt(1-q^{2(k+1)}) e_{k+1}.
+
+    Operators are multiplied on an enlarged space and cut down afterwards, so
+    entries inside the window are exactly those of the infinite representation.
+    """
+    q = x.q
+    big = n_trunc + x.total_degree() + 2
+    z_mat = np.zeros((big, big), dtype=complex)
+    for k in range(big - 1):
+        z_mat[k + 1, k] = math.sqrt(1.0 - q ** (2 * (k + 1)))
+    zs_mat = z_mat.conj().T
+    out = np.zeros((big, big), dtype=complex)
+    for (a, c), v in x.coeffs.items():
+        m = np.eye(big, dtype=complex)
+        for _ in range(a):
+            m = m @ z_mat
+        for _ in range(c):
+            m = m @ zs_mat
+        out += v * m
+    return out[:n_trunc + 1, :n_trunc + 1]
+
+
+def averaged_potential(v: Multivector, n: int) -> Multivector:
+    """The grade law: sum_k c_k(n) V_k with c_k(n) = 1 - (n + (-1)^k (n - 2k)) / 2.
+
+    For D = -g.xi + V, the degree -n part of sigma(D |D|^{-n}) averages over the
+    sphere to this, by linearity in V, <xi_a xi_b> = delta_ab / n and
+    sum_a g^a V_k g^a = (-1)^k (n - 2k) V_k on the grade-k part V_k.
+    """
+    out = {}
+    for word, coeff in v.terms.items():
+        k = len(word)
+        c = 1 - Fraction(n + (-1) ** k * (n - 2 * k), 2)
+        if c:
+            out[word] = coeff * QQi.coerce(c)
+    return Multivector(n, out)
 
 
 def perturbation_residue(u: OneForm, v: OneForm, w: OneForm,

@@ -396,6 +396,21 @@ class TestInputHardening:
         assert (rc, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("torsion, message", [
+        ([{"indices": [1.5, 2, 3], "value": "1"}], "torsion index must be an integer, got 1.5"),
+        ([{"indices": [True, 2, 3], "value": "1"}], "torsion index must be an integer, got True"),
+        ([{"indices": [1, 2, 3], "value": "1"}, {"indices": [1, 2, 3], "value": "2"}],
+         "repeated torsion index triple: [1, 2, 3]"),
+    ], ids=["float-index", "bool-index", "repeated-triple"])
+    def test_bad_torsion_entry_rejected(self, tmp_path, capsys, torsion, message):
+        # each of these was read as T_123 (the repeat keeping its last value) and exited 0
+        cfg = TestEval._write(tmp_path, {
+            "dims": [3], "torsion": torsion,
+            "u": ["1", "0", "0"], "v": ["0", "1", "0"], "w": ["0", "0", "1"]})
+        rc, out, err = run(capsys, "eval", "--config", cfg)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
     def test_huge_exponent_in_one_form_rejected(self, tmp_path, capsys, literal):
         # parsed as written, 10**999999999 ran for minutes and kept growing
@@ -574,3 +589,43 @@ class TestParserReuse:
         assert [args for args, _ in seen] == [vars(fresh().parse_args(a)) for a in argvs]
         assert [mask for _, mask in seen] == [True, False] + [True] * len(MASKED_REPORTS)
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestImportPath:
+    """The exact layers import the standard library only; NumPy loads at the
+    first torus product and nowhere else."""
+
+    LOADS_NUMPY = ("import sys, contextlib, io\n"
+                   "import spectral_torsion\n"
+                   "from spectral_torsion.cli import main\n"
+                   "if sys.argv[1:]:\n"
+                   "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "        main(sys.argv[1:])\n"
+                   "print('numpy' in sys.modules)")
+    RUNS = {
+        "import": ([], False),
+        "eval": (["eval", "--config", str(REPORTS / "eval-frame.config.json")], False),
+        "verify": (["verify", "--dims", "3", "--trials", "1"], False),
+        "eym": (["examples", "eym", "--dims", "2", "--trials", "1"], False),
+        "doubled": (["examples", "doubled", "--dims", "4"], False),
+        "suq2": (["examples", "suq2"], False),
+        "nctorus": (["examples", "nctorus", "--dims", "2", "--trials", "1", "--K", "2"], True),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_numpy_loads_only_for_the_torus(self, name):
+        # exit codes are not read: verify exits 1 on the criterion-01 factor
+        argv, loads = self.RUNS[name]
+        _, out, err = standalone_python(self.LOADS_NUMPY, *argv)
+        assert (out, err) == (f"{loads}\n", "")
+
+    @pytest.mark.parametrize("module", ["spectral_torsion", "spectral_torsion.cli"])
+    def test_import_adds_only_standard_library_modules(self, module):
+        listing = "import sys{}; print('\\n'.join(sys.modules))"
+        _, bare, _ = standalone_python(listing.format(""))
+        code, loaded, err = standalone_python(listing.format(f", {module}"))
+        assert (code, err) == (0, "")
+        added = set(loaded.split()) - set(bare.split())
+        assert module in added
+        assert [m for m in sorted(added) if m.split(".")[0] not in sys.stdlib_module_names
+                and m.split(".")[0] != "spectral_torsion"] == []

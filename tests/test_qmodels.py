@@ -15,7 +15,6 @@ from spectral_torsion import (
     Suq2DiracSpec,
     TorusElement,
     antisymmetric_theta,
-    disc_represent,
     disc_truncated_trace,
     random_theta,
     random_torus_h,
@@ -29,7 +28,7 @@ from spectral_torsion import (
 from spectral_torsion import qmodels
 from spectral_torsion.qmodels import FormalSeries, _paired_traces, _swap
 
-from oracle import torus_product
+from oracle import disc_represent, torus_product
 
 
 THETA2 = ((0.0, 0.35), (-0.35, 0.0))

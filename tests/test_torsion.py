@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
-                              OneForm, ResidueValue, TorsionTensor,
+                              HomogeneousSymbol, Multivector, OneForm, QQi,
+                              ResidueValue, TorsionTensor,
                               chirality_functional, closed_form_torsion,
                               contorsion_from_torsion, levi_civita_from_structure,
                               metric_functional, pipeline_coefficient, qi,
@@ -17,13 +18,14 @@ from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
 from spectral_torsion.sampling import (random_contorsion, random_one_form,
                                        random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose
-from spectral_torsion.torsion import (TORSION_KAPPA, _zero_order_symbol, dirac_symbol,
+from spectral_torsion.torsion import (TORSION_KAPPA, _zero_order_symbol, dirac_power,
+                                      dirac_symbol, first_order_symbol,
                                       inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
                                       torsion_components_from_contorsion,
                                       torsion_form_multivector)
 
-from oracle import perturbation_residue, torsion_cube
+from oracle import averaged_potential, perturbation_residue, torsion_cube
 
 
 def frame_triple(dim):
@@ -259,6 +261,42 @@ class TestSharedResiduePath:
             sphere_average(op, dim)
         with pytest.raises(ValueError, match=message):
             residue_of_symbol(op, dim)
+
+
+def _mixed_grade(rng: Random, dim: int) -> Multivector:
+    """Up to two random words of each grade 0..min(dim, 6), random QQi coefficients."""
+    terms = {}
+    for k in range(min(dim, 6) + 1):
+        for _ in range(rng.randint(1, 2)):
+            terms[tuple(sorted(rng.sample(range(1, dim + 1), k)))] = random_qqi(rng)
+    return Multivector(dim, terms)
+
+
+class TestGradeLaw:
+    """For D = -g.xi + V the sphere average of the degree -n part of D |D|^{-n}
+    is sum_k c_k(n) V_k (tests/oracle.py:averaged_potential), with or without
+    an x-linear jet, which the average never sees."""
+
+    @pytest.mark.parametrize("jet", [False, True], ids=["no-jet", "jet"])
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_sphere_average_is_the_grade_law(self, dim, jet):
+        rng = Random(700 + dim)
+        v = _mixed_grade(rng, dim)
+        potential = {0: v}
+        if jet:
+            potential[rng.randint(1, dim)] = _mixed_grade(rng, dim)
+        got = sphere_average(dirac_power(first_order_symbol(dim, QQi(1), potential)), dim)
+        want = HomogeneousSymbol.radial(dim, -dim, averaged_potential(v, dim))
+        assert {d: h.terms for d, h in got.parts.items()} == \
+            ({-dim: want.terms} if want else {})
+
+    def test_grade_law_coefficients(self):
+        # 0 for k = 1, -2 for k = 3, -4 for k = 5, -(n - k - 1) for even k
+        dim = 9
+        for k, c in ((0, 1 - dim), (1, 0), (2, 3 - dim), (3, -2), (4, 5 - dim), (5, -4)):
+            word = tuple(range(1, k + 1))
+            assert averaged_potential(Multivector(dim, {word: QQi(1)}), dim).terms == \
+                ({word: QQi(c)} if c else {})
 
 
 class TestKernels:
