@@ -285,7 +285,6 @@ def _radial_spelling(hs: HomogeneousSymbol) -> Optional[Multivector]:
     """C0 + C1 when hs is C0 ||xi||^p + sum_j C1 xi_j^2 ||xi||^(p-2), either part
     alone or both, C1 shared by every j and no x factor; None for any other
     spelling.  These are the two spellings compositions produce."""
-    dim = hs.dim
     c0 = c1 = None
     squares = 0
     for (alpha, _, xj), mv in hs.terms.items():
@@ -300,7 +299,7 @@ def _radial_spelling(hs: HomogeneousSymbol) -> Optional[Multivector]:
         squares += 1
     if c1 is None:
         return c0
-    if squares != dim:
+    if squares != hs.dim:
         return None
     return c1 if c0 is None else c0 + c1
 

@@ -310,6 +310,8 @@ class TestLeadingPart:
         "one-square-on-a-word": (3, _squares(3, 0, [1, 1, 1], [(), (), (1, 2)])),
         "first-square-on-a-word": (3, _squares(3, 0, [1, 1, 1], [(1, 2), (), ()])),
         "x-linear": (2, _squares(2, 0, [1, 1]) + [((2, 0), 0, 1, 1, ())]),
+        "x-linear-square": (2, [((2, 0), 0, 0, 1, ()), ((0, 2), 0, 1, 1, ())]),
+        "square-and-cross-term": (2, [((2, 0), 0, 0, 1, ()), ((1, 1), 0, 0, 1, ())]),
     }
 
     @pytest.mark.parametrize("ring", sorted(RINGS))
