@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import __version__ as VERSION
 from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
                                 MatrixOneForm, adjoint_trace,
                                 doubled_torsion_free_test, eym_torsion_density)
@@ -35,12 +36,6 @@ from .torsion import (OneForm, ResidueValue, TorsionTensor,
                       closed_form_torsion, metric_functional,
                       pipeline_coefficient, torsion_contraction,
                       torsion_functional, volume_functional)
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("spectral-torsion")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -204,9 +199,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     filecfg: Dict[str, Any] = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 filecfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(filecfg, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -23,6 +23,7 @@ difference cancels against tau_1 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Dict, List, Optional, Tuple
 
 
@@ -42,6 +43,8 @@ def antisymmetric_theta(entries) -> Tuple[Tuple[float, ...], ...]:
     for row in th:
         if len(row) != n:
             raise ValueError("theta must be square")
+        if not all(map(isfinite, row)):
+            raise ValueError("theta entries must be finite")
     for i in range(n):
         for j in range(n):
             if abs(th[i][j] + th[j][i]) > 1e-14:
@@ -238,18 +241,20 @@ def torus_trace_identity(h: TorusElement, alpha: int, beta: int, j: int,
                          truncation: int, tol: float = 1e-12) -> float:
     """Residual of tau(k^alpha delta_j(k) k^beta) = 0, k = exp(t h), order by order.
 
-    Returns the largest |tau| over t-orders 0..truncation; h must be
-    self-adjoint so that k is a positive invertible element.  The powers of h
-    are formed once: order m of k^alpha = exp(alpha t h) is alpha^m times
-    order m of k.  The last product with k^beta is only ever traced, so it is
-    read as a pairing.
+    Returns the largest |tau| over t-orders 0..truncation, or a non-finite
+    |tau| when an order overflowed; h must be self-adjoint so that k is a
+    positive invertible element.  The powers of h are formed once: order m of
+    k^alpha = exp(alpha t h) is alpha^m times order m of k.  The last product
+    with k^beta is only ever traced, so it is read as a pairing.
     """
     if not h.is_self_adjoint(tol):
         raise ValueError("h must be self-adjoint")
     k = torus_exp(h, 1.0, truncation)
     ka, kb = (FormalSeries([o.scale(float(s) ** m) for m, o in enumerate(k.orders)])
               for s in (alpha, beta))
-    return max(abs(t) for t in _paired_traces(ka * k.derive(j), kb))
+    residuals = [abs(t) for t in _paired_traces(ka * k.derive(j), kb)]
+    # max() skips NaN, which would let an overflowed order read as 0
+    return next((r for r in residuals if not isfinite(r)), max(residuals))
 
 
 # quantum disc / SU_q(2) boundary ----------------------------------------------

@@ -14,6 +14,13 @@ degrees kept here, which are all the residue functionals read.
 
 Composition follows sigma(AB) = sum_alpha (1/alpha!) d_xi^alpha A . (-i d_x)^alpha B;
 with order-1 jets only |alpha| <= 1 contributes, exactly.
+
+Powers are closed forms.  When the leading part L of a is c ||xi||^p times the
+unit with no x factor, and S is the next component, a^e = L^e + e L^(e-1) S on
+the TRACKED = 2 degrees: every composition correction involving L
+differentiates it in x, which gives zero, or lands two degrees below the top.  parametrix
+(e = -1), negative_power (the m-th power of the parametrix) and sqrt_symbol
+(e = 1/2) write that form down and form no product.
 """
 from __future__ import annotations
 
@@ -332,52 +339,40 @@ def _leading_scalar(hs: HomogeneousSymbol):
     return hs.degree, c, one
 
 
+def _power(a: SymbolSum, lead, e) -> SymbolSum:
+    """a^e = L^e + e L^(e-1) S (see the module docstring), for lead = (p, c, one)
+    of L, S = a.component(p - 1), and e an integer or c = 1."""
+    p, c, one = lead
+    ce1, k = QQi(Fraction(1)), (0 if c == 1 else int(e) - 1)   # c^(e-1)
+    for _ in range(abs(k)):
+        ce1 = ce1 * c if k > 0 else ce1 / c
+    top = int(p * e)
+    sub = HomogeneousSymbol(a.dim, top - 1)
+    sub.terms = {(alpha, rho + top - p, xj): mv for (alpha, rho, xj), mv
+                 in a.component(p - 1).scale(ce1 * e).terms.items()}
+    return SymbolSum(a.dim, {top: HomogeneousSymbol.radial(
+        a.dim, top, Multivector.scalar(a.dim, one).scale(ce1 * c)), top - 1: sub})
+
+
 def parametrix(a: SymbolSum) -> SymbolSum:
     """Right-inverse expansion: compose(parametrix(a), a) = 1 on the tracked degrees."""
-    p, c, one = _leading_scalar(a.component(a.leading_degree))
-    dim = a.dim
-    inv_scale = QQi(Fraction(1)) / c
-    inv_lead = HomogeneousSymbol.radial(dim, -p, Multivector.scalar(dim, one).scale(inv_scale))
-    b = SymbolSum(dim, {-p: inv_lead})
-    # identity in the same coefficient ring as a's leading term
-    ident = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, one))})
-    for step in range(1, TRACKED):
-        err = (compose(b, a) - ident).component(-step)
-        if err:
-            b.parts[-p - step] = hs_mul(err, inv_lead).scale(QQi(Fraction(-1)))
-    return b
+    return _power(a, _leading_scalar(a.component(a.leading_degree)), -1)
 
 
 def negative_power(a: SymbolSum, m: int) -> SymbolSum:
-    """Symbol of a^{-m} as an m-fold composition of the parametrix."""
+    """Symbol of a^{-m}: the m-th power of the parametrix."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    p = parametrix(a)
-    out = p
-    for _ in range(m - 1):
-        out = compose(out, p)
-    return out
+    b = parametrix(a)
+    return _power(b, _leading_scalar(b.component(b.leading_degree)), m)
 
 
 def sqrt_symbol(a: SymbolSum) -> SymbolSum:
-    """Square-root expansion of a second-order symbol with leading ||xi||^2.
-
-    Fixed by the binding property compose(s, s) = a on the tracked degrees; the
-    degree 1-k component solves s_1 s_{1-k} + s_{1-k} s_1 = (remainder), and
-    the scalar leading term makes that division exact.
-    """
+    """Square root, compose(s, s) = a on the tracked degrees, of a leading ||xi||^2."""
     p, c, one = _leading_scalar(a.component(a.leading_degree))
     if p != 2 or c != QQi(Fraction(1)):
         raise ValueError("sqrt requires leading term ||xi||^2 times the unit")
-    dim = a.dim
-    half_inv = HomogeneousSymbol.radial(
-        dim, -1, Multivector.scalar(dim, one).scale(QQi(Fraction(1, 2))))
-    s = SymbolSum(dim, {1: HomogeneousSymbol.radial(dim, 1, Multivector.scalar(dim, one))})
-    for k in range(1, TRACKED):
-        err = (a - compose(s, s)).component(2 - k)
-        if err:
-            s.parts[1 - k] = hs_mul(err, half_inv)
-    return s
+    return _power(a, (p, c, one), Fraction(1, 2))
 
 
 # sphere integration ---------------------------------------------------------

@@ -3,7 +3,8 @@ Pauli tensor products, Monte-Carlo sphere averages, a direct first-order
 expansion of the torsion residue that bypasses the parametrix machinery, the
 dense matrix product over QQi entries, the Clifford product one word pair at a
 time, the noncommutative-torus product one pair of modes at a time, symbol
-composition and sphere integration with a fresh sum per term, the dense
+composition and sphere integration with a fresh sum per term, the iterative
+parametrix, negative power and square root that compose and subtract, the dense
 truncated quantum-disc representation, and the grade law for the sphere
 average of a potential."""
 from __future__ import annotations
@@ -21,7 +22,8 @@ from spectral_torsion import (HomogeneousSymbol, MatrixQQ, Multivector, OneForm,
                               QuantumDiscElement, ResidueValue, SymbolSum,
                               TorsionTensor, TorusElement, clifford_trace, moment,
                               qi, reduce_word)
-from spectral_torsion.symcalc import MINUS_I, TRACKED, hs_dx, hs_dxi
+from spectral_torsion.symcalc import (MINUS_I, TRACKED, _leading_scalar, compose, hs_dx,
+                                      hs_dxi, hs_mul)
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -157,6 +159,58 @@ def reference_sphere_integrate(h: HomogeneousSymbol) -> Multivector:
         if c:
             out = out + mv.scale(c)
     return out
+
+
+# The iterative symbol powers symcalc used before its closed forms, kept
+# verbatim apart from their names: each correction term is solved for by
+# composing and subtracting.
+
+def reference_parametrix(a: SymbolSum) -> SymbolSum:
+    """Right-inverse expansion: compose(parametrix(a), a) = 1 on the tracked degrees."""
+    p, c, one = _leading_scalar(a.component(a.leading_degree))
+    dim = a.dim
+    inv_scale = QQi(Fraction(1)) / c
+    inv_lead = HomogeneousSymbol.radial(dim, -p, Multivector.scalar(dim, one).scale(inv_scale))
+    b = SymbolSum(dim, {-p: inv_lead})
+    # identity in the same coefficient ring as a's leading term
+    ident = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, one))})
+    for step in range(1, TRACKED):
+        err = (compose(b, a) - ident).component(-step)
+        if err:
+            b.parts[-p - step] = hs_mul(err, inv_lead).scale(QQi(Fraction(-1)))
+    return b
+
+
+def reference_negative_power(a: SymbolSum, m: int) -> SymbolSum:
+    """Symbol of a^{-m} as an m-fold composition of the parametrix."""
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    p = reference_parametrix(a)
+    out = p
+    for _ in range(m - 1):
+        out = compose(out, p)
+    return out
+
+
+def reference_sqrt_symbol(a: SymbolSum) -> SymbolSum:
+    """Square-root expansion of a second-order symbol with leading ||xi||^2.
+
+    Fixed by the binding property compose(s, s) = a on the tracked degrees; the
+    degree 1-k component solves s_1 s_{1-k} + s_{1-k} s_1 = (remainder), and
+    the scalar leading term makes that division exact.
+    """
+    p, c, one = _leading_scalar(a.component(a.leading_degree))
+    if p != 2 or c != QQi(Fraction(1)):
+        raise ValueError("sqrt requires leading term ||xi||^2 times the unit")
+    dim = a.dim
+    half_inv = HomogeneousSymbol.radial(
+        dim, -1, Multivector.scalar(dim, one).scale(QQi(Fraction(1, 2))))
+    s = SymbolSum(dim, {1: HomogeneousSymbol.radial(dim, 1, Multivector.scalar(dim, one))})
+    for k in range(1, TRACKED):
+        err = (a - compose(s, s)).component(2 - k)
+        if err:
+            s.parts[1 - k] = hs_mul(err, half_inv)
+    return s
 
 
 def torsion_cube(t: TorsionTensor) -> Multivector:

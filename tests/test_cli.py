@@ -270,6 +270,18 @@ class TestInputHardening:
         assert f"size must be >= 1, got {size}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000,
+                                         b'{"trials": 1' + b"0" * 5000 + b"}"],
+                             ids=["utf16-bom", "deep-nesting", "long-integer"])
+    def test_undecodable_config_file_rejected(self, tmp_path, capsys, content):
+        # these raised UnicodeDecodeError, RecursionError and ValueError: exit 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        rc, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+
     def test_non_integer_trials_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": "abc"}))
@@ -618,6 +630,14 @@ class TestImportPath:
         argv, loads = self.RUNS[name]
         _, out, err = standalone_python(self.LOADS_NUMPY, *argv)
         assert (out, err) == (f"{loads}\n", "")
+
+    def test_cli_import_skips_package_metadata(self):
+        # the report's version is spectral_torsion.__version__; importlib.metadata
+        # would add about 20 ms of import for the same string
+        _, out, err = standalone_python(
+            "import sys, spectral_torsion.cli as cli, spectral_torsion\n"
+            "print('importlib.metadata' in sys.modules, cli.VERSION == spectral_torsion.__version__)")
+        assert (out, err) == ("False True\n", "")
 
     @pytest.mark.parametrize("module", ["spectral_torsion", "spectral_torsion.cli"])
     def test_import_adds_only_standard_library_modules(self, module):

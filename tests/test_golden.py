@@ -2,12 +2,16 @@
 
 Each case holds its inputs inline (see tests/golden/build_corpus.py for how they
 were drawn), so a refactor of the exact layers must reproduce every value and
-its CLI rendering bit for bit.  The masked CLI reports frozen under
-tests/golden/reports, must likewise come back byte for byte.
+its CLI rendering bit for bit, and build_corpus.py must print the committed
+corpus again.  The masked CLI reports frozen under tests/golden/reports must
+likewise come back byte for byte.
 """
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +26,8 @@ from spectral_torsion.torsion import (OneForm, TorsionTensor, chirality_function
                                       metric_functional, torsion_functional,
                                       volume_functional)
 
-CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())["cases"]
+GOLDEN = Path(__file__).parent / "golden"
+CORPUS = json.loads((GOLDEN / "corpus.json").read_text())["cases"]
 
 
 def rat(pair) -> Fraction:
@@ -79,7 +84,18 @@ def test_corpus_value_is_reproduced_exactly(case):
     assert scalar_json(got) == want["json"]
 
 
-REPORTS = Path(__file__).parent / "golden" / "reports"
+def test_corpus_is_what_build_corpus_prints():
+    """build_corpus.py, run in a fresh interpreter, prints corpus.json byte for byte."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, str(GOLDEN / "build_corpus.py")],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "corpus.json").read_bytes()
+
+
+REPORTS = GOLDEN / "reports"
 MASKED_REPORTS = {
     "eval-frame.json": ["eval", "--config", str(REPORTS / "eval-frame.config.json")],
     "eval-band-7.json": ["eval", "--config", str(REPORTS / "eval-band-7.config.json")],

@@ -52,6 +52,14 @@ class TestTorusAlgebra:
             antisymmetric_theta(((0.0, 1.0), (1.0, 0.0)))
         assert antisymmetric_theta(THETA2) == THETA2
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_theta_must_be_finite(self, x):
+        # NaN + NaN and inf - inf both pass the antisymmetry comparison
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            antisymmetric_theta(((0.0, x), (-x, 0.0)))
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            TorusElement.weyl(((0.0, x), (-x, 0.0)), (1, 0))
+
     def test_weyl_relation_matches_phase_formula(self):
         p, q = (1, -2), (3, 1)
         up = TorusElement.weyl(THETA2, p)
@@ -186,6 +194,15 @@ class TestTorusTraceIdentity:
             for alpha, beta in ((0, 1), (2, 1), (1, 2), (3, 2)):
                 j = rng.randint(1, dim)
                 assert torus_trace_identity(h, alpha, beta, j, 6) < 1e-12
+
+    def test_overflowed_order_fails_the_check(self):
+        # h^2 overflows at t-order 2; max() alone skipped the NaN traces and read 0
+        theta = ((0.0, 0.3), (-0.3, 0.0))
+        h = TorusElement.weyl(theta, (1, 0), 1e200) + TorusElement.weyl(theta, (-1, 0), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = torus_trace_identity(h, 1, 1, 1, 6)
+        assert not math.isfinite(got)
+        assert not got < 1e-12
 
     def test_nonzero_without_the_derivation(self):
         # tau(k^a k^b) has a nonzero constant order, so the bound is real

@@ -17,7 +17,8 @@ from spectral_torsion.torsion import dirac_symbol
 from spectral_torsion.torsion import TorsionTensor
 
 from oracle import (mc_sphere_average, reference_compose, reference_hs_mul,
-                    reference_sphere_integrate, sphere_batch)
+                    reference_negative_power, reference_parametrix,
+                    reference_sphere_integrate, reference_sqrt_symbol, sphere_batch)
 
 
 def _sym(dim: int, degree: int, entries) -> HomogeneousSymbol:
@@ -361,6 +362,75 @@ class TestLeadingPart:
         a = _leading(2, 2, [((0, 0), 2, 0, 1, ())] + _squares(2, 0, [-1, -1]), "qqi")
         with pytest.raises(ValueError, match="not a multiple of the unit"):
             parametrix(a)
+
+
+# leading scalars c of c ||xi||^p times the unit
+LEAD_SCALARS = (qi(1), qi(3), qi(Fraction(1, 2), 1), qi(0, 3))
+
+
+@st.composite
+def _powered(draw, sqrt: bool = False):
+    """a = c ||xi||^p unit + S: the lead radial or as sum_j c xi_j^2 ||xi||^(p-2),
+    S drawn with x-linear terms; QQi or 2x2 MatrixQQ coefficients."""
+    dim = draw(st.integers(2, 4))
+    ring = draw(st.sampled_from(["qqi", "matrix"]))
+    p, c = (2, qi(1)) if sqrt else (draw(st.integers(-2, 3)), draw(st.sampled_from(LEAD_SCALARS)))
+    unit = Multivector.scalar(dim, c if ring == "qqi" else MatrixQQ.identity(2) * c)
+    if draw(st.booleans()):
+        lead = HomogeneousSymbol.radial(dim, p, unit)
+    else:
+        lead = _sym(dim, p, [(tuple(2 * (k == j) for k in range(dim)), p - 2, 0, unit)
+                             for j in range(dim)])
+    return SymbolSum(dim, {p: lead, p - 1: draw(_homogeneous(dim, p - 1, ring))})
+
+
+def _tracked_equal(got: SymbolSum, want: SymbolSum) -> bool:
+    top = want.leading_degree
+    return got.leading_degree == top and all(
+        hs_is_zero(got.component(d) - want.component(d)) for d in (top, top - 1))
+
+
+class TestClosedFormPowers:
+    """parametrix, negative_power and sqrt_symbol against the iterative
+    compose-and-subtract versions in the oracle, on every tracked degree."""
+
+    @given(_powered())
+    @settings(max_examples=60, deadline=None)
+    def test_parametrix_matches_iteration(self, a):
+        assert _tracked_equal(parametrix(a), reference_parametrix(a))
+
+    @given(_powered(), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_negative_power_matches_iteration(self, a, m):
+        assert _tracked_equal(negative_power(a, m), reference_negative_power(a, m))
+
+    @given(_powered(sqrt=True))
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt_symbol_matches_iteration(self, a):
+        assert _tracked_equal(sqrt_symbol(a), reference_sqrt_symbol(a))
+
+    def test_no_product_is_formed(self, monkeypatch):
+        dim = 3
+        d = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1, 2)}), dim)
+        d2 = compose(d, d)
+        scaled = SymbolSum(dim, {deg: h.scale(qi(3)) for deg, h in d2.parts.items()})
+        as_matrix = SymbolSum(dim, {deg: HomogeneousSymbol(dim, deg, {
+            key: Multivector(dim, {w: MatrixQQ.identity(2) * c for w, c in mv.terms.items()})
+            for key, mv in h.terms.items()}) for deg, h in d2.parts.items()})
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+        counted(Multivector, "__mul__")
+        counted(symcalc, "compose")
+        counted(symcalc, "hs_mul")
+        for a in (d2, scaled, as_matrix):
+            parametrix(a)
+            negative_power(a, 3)
+        sqrt_symbol(d2)
+        sqrt_symbol(as_matrix)
+        assert calls == []
 
 
 class TestMoments:
