@@ -244,8 +244,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"bad phi value {phi_raw!r}") from exc
     cfg.size = _int_option(pick("size", cfg.size), "size", 1)
     cfg.out = pick("out", cfg.out)
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        # open() would take an int or bool as a file descriptor
+    if cfg.out is not None and (not isinstance(cfg.out, str) or "\0" in cfg.out):
+        # open() would take an int or bool as a file descriptor, and raises
+        # ValueError, not OSError, on a NUL in the name
         raise ConfigError(f"out must be a file name, got {cfg.out!r}")
     cfg.mask_timing = bool(getattr(args, "mask_timing", False))
 

@@ -267,6 +267,8 @@ class Multivector:
 
     def scale(self, s: ScalarLike) -> "Multivector":
         s = QQi.coerce(s)
+        if s == -1:
+            return -self   # negation forms no coefficient product
         r = Multivector(self.dim)
         if s:
             r.terms = {w: v for w, v in ((w, s * c) for w, c in self.terms.items()) if v}

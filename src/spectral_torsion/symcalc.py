@@ -20,7 +20,10 @@ unit with no x factor, and S is the next component, a^e = L^e + e L^(e-1) S on
 the TRACKED = 2 degrees: every composition correction involving L
 differentiates it in x, which gives zero, or lands two degrees below the top.  parametrix
 (e = -1), negative_power (the m-th power of the parametrix) and sqrt_symbol
-(e = 1/2) write that form down and form no product.
+(e = 1/2) write that form down and form no product.  L is read only in the
+spellings compose and the powers write, c ||xi||^p and sum_j c xi_j^2 ||xi||^(p-2)
+(or a sum of the two); any other spelling is refused, so the calculus never
+has to decide whether two spellings are the same function.
 """
 from __future__ import annotations
 
@@ -161,48 +164,6 @@ def hs_dx(h: HomogeneousSymbol, l: int) -> HomogeneousSymbol:
     return out
 
 
-def _norm2_power(dim: int, k: int) -> Dict[Tuple[int, ...], int]:
-    """Expansion of (xi_1^2 + ... + xi_n^2)^k into monomial exponents."""
-    acc: Dict[Tuple[int, ...], int] = {(0,) * dim: 1}
-    for _ in range(k):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for alpha, c in acc.items():
-            for l in range(dim):
-                up = list(alpha)
-                up[l] += 2
-                key = tuple(up)
-                nxt[key] = nxt.get(key, 0) + c
-        acc = nxt
-    return acc
-
-
-def hs_is_zero(h: HomogeneousSymbol) -> bool:
-    """Decide vanishing as a function on R^n \\ {0} x (jet in x).
-
-    Within each parity class of rho, factor out the lowest norm power and
-    expand the rest into polynomials; ||xi|| times a nonzero rational function
-    is never rational, so the two classes must vanish separately.
-    """
-    for parity in (0, 1):
-        terms = {k: mv for k, mv in h.terms.items() if k[1] % 2 == parity % 2}
-        if not terms:
-            continue
-        rho_min = min(k[1] for k in terms)
-        poly: Dict[Tuple[Tuple[int, ...], int], Multivector] = {}
-        for (alpha, rho, xj), mv in terms.items():
-            for beta, c in _norm2_power(h.dim, (rho - rho_min) // 2).items():
-                key = (tuple(p + q for p, q in zip(alpha, beta)), xj)
-                acc = poly.get(key)
-                acc = mv.scale(c) if acc is None else acc + mv.scale(c)
-                if acc:
-                    poly[key] = acc
-                else:
-                    poly.pop(key, None)
-        if poly:
-            return False
-    return True
-
-
 class SymbolSum:
     """Asymptotic expansion: homogeneous components for the top TRACKED degrees.
 
@@ -229,15 +190,6 @@ class SymbolSum:
 
     def component(self, degree: int) -> HomogeneousSymbol:
         return self.parts.get(degree, HomogeneousSymbol(self.dim, degree))
-
-    def __sub__(self, other: "SymbolSum") -> "SymbolSum":
-        degs = set(self.parts) | set(other.parts)
-        parts = {}
-        for d in degs:
-            h = self.component(d) - other.component(d)
-            if h:
-                parts[d] = h
-        return SymbolSum(self.dim, parts)
 
 
 def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
@@ -312,28 +264,16 @@ def _radial_spelling(hs: HomogeneousSymbol) -> Optional[Multivector]:
 
 
 def _leading_scalar(hs: HomogeneousSymbol):
-    """Require the leading part to equal c * ||xi||^p * unit; return (p, c, one).
+    """Require the leading part to be c * ||xi||^p * unit; return (p, c, one).
 
     c is the invertible QQi factor and `one` the ring identity coefficient it
-    multiplies (QQi one, or an identity matrix for matrix coefficients).
-    Compositions spell ||xi||^2 as sum_j xi_j^2, which _radial_spelling reads
-    in one pass; any other spelling has its radial form reconstructed by
-    evaluating at xi = e_1 and verified exactly.
+    multiplies (QQi one, or an identity matrix for matrix coefficients).  Only
+    the spellings compose and the powers write are read, in one pass by
+    _radial_spelling: C0 ||xi||^p, sum_j C1 xi_j^2 ||xi||^(p-2), or both.  Any
+    other spelling is refused, even one equal to c ||xi||^p as a function.
     """
     cand = _radial_spelling(hs)
-    if cand is not None:
-        c, one = _unit_scalar(cand)
-        return hs.degree, c, one
-    if any(xj != 0 for (_, _, xj) in hs.terms):
-        raise ValueError("leading term is not a radial scalar")
-    # value at xi = e_1: only terms whose monomial part lives on coordinate 1
-    cand = None
-    for (alpha, _, _), mv in hs.terms.items():
-        if not any(alpha[1:]):
-            cand = mv if cand is None else cand + mv
     if cand is None:
-        raise ValueError("leading term is not a radial scalar")
-    if not hs_is_zero(hs - HomogeneousSymbol.radial(hs.dim, hs.degree, cand)):
         raise ValueError("leading term is not a radial scalar")
     c, one = _unit_scalar(cand)
     return hs.degree, c, one

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
@@ -214,39 +214,30 @@ class OneForm:
 
 @dataclass(frozen=True)
 class ResidueValue:
-    """Exact residue density: mult * V(S^{n-1})^vpow, mult a Gaussian rational."""
+    """Exact residue density mult * V(S^{n-1}), mult a Gaussian rational.
+
+    vpow, the power of V, is always 1.  Equality and hashing read (mult, dim):
+    V(S^{n-1}) is nonzero and fixed by n."""
 
     mult: QQi
     dim: int
-    vpow: int = 1
+    vpow: ClassVar[int] = 1
 
     def pi_form(self) -> Tuple[QQi, int]:
         """Normalize to (Gaussian rational, pi power)."""
-        coeff, pipow = self.mult, 0
-        if self.vpow:
-            v = sphere_volume(self.dim)
-            coeff = coeff * (v.rational ** self.vpow)
-            pipow = v.pipow * self.vpow
-        return coeff, pipow
+        v = sphere_volume(self.dim)
+        return self.mult * v.rational, v.pipow
 
     def is_zero(self) -> bool:
         return not self.mult
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResidueValue):
-            return self.dim == other.dim and self.pi_form() == other.pi_form()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dim,) + self.pi_form())
-
     def __add__(self, other: "ResidueValue") -> "ResidueValue":
-        if self.dim != other.dim or self.vpow != other.vpow:
+        if self.dim != other.dim:
             raise ValueError("incompatible residue values")
-        return ResidueValue(self.mult + other.mult, self.dim, self.vpow)
+        return ResidueValue(self.mult + other.mult, self.dim)
 
     def scale(self, s: ScalarLike) -> "ResidueValue":
-        return ResidueValue(self.mult * QQi.coerce(s), self.dim, self.vpow)
+        return ResidueValue(self.mult * QQi.coerce(s), self.dim)
 
     def to_complex(self) -> complex:
         from math import pi

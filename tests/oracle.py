@@ -4,14 +4,16 @@ expansion of the torsion residue that bypasses the parametrix machinery, the
 dense matrix product over QQi entries, the Clifford product one word pair at a
 time, the noncommutative-torus product one pair of modes at a time, symbol
 composition and sphere integration with a fresh sum per term, the iterative
-parametrix, negative power and square root that compose and subtract, the dense
-truncated quantum-disc representation, and the grade law for the sphere
-average of a potential."""
+parametrix, negative power and square root that compose and subtract, the
+polynomial zero test that decides whether two spellings of a symbol are the same
+function, the dense truncated quantum-disc representation, and the grade law
+for the sphere average of a potential."""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import Dict, Tuple
 
 import cmath
 import math
@@ -161,9 +163,51 @@ def reference_sphere_integrate(h: HomogeneousSymbol) -> Multivector:
     return out
 
 
+def _norm2_power(dim: int, k: int) -> Dict[Tuple[int, ...], int]:
+    """Expansion of (xi_1^2 + ... + xi_n^2)^k into monomial exponents."""
+    acc: Dict[Tuple[int, ...], int] = {(0,) * dim: 1}
+    for _ in range(k):
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for alpha, c in acc.items():
+            for l in range(dim):
+                up = list(alpha)
+                up[l] += 2
+                key = tuple(up)
+                nxt[key] = nxt.get(key, 0) + c
+        acc = nxt
+    return acc
+
+
+def hs_is_zero(h: HomogeneousSymbol) -> bool:
+    """Decide vanishing as a function on R^n \\ {0} x (jet in x).
+
+    Within each parity class of rho, factor out the lowest norm power and
+    expand the rest into polynomials; ||xi|| times a nonzero rational function
+    is never rational, so the two classes must vanish separately.
+    """
+    for parity in (0, 1):
+        terms = {k: mv for k, mv in h.terms.items() if k[1] % 2 == parity % 2}
+        if not terms:
+            continue
+        rho_min = min(k[1] for k in terms)
+        poly: Dict[Tuple[Tuple[int, ...], int], Multivector] = {}
+        for (alpha, rho, xj), mv in terms.items():
+            for beta, c in _norm2_power(h.dim, (rho - rho_min) // 2).items():
+                key = (tuple(p + q for p, q in zip(alpha, beta)), xj)
+                acc = poly.get(key)
+                acc = mv.scale(c) if acc is None else acc + mv.scale(c)
+                if acc:
+                    poly[key] = acc
+                else:
+                    poly.pop(key, None)
+        if poly:
+            return False
+    return True
+
+
 # The iterative symbol powers symcalc used before its closed forms, kept
-# verbatim apart from their names: each correction term is solved for by
-# composing and subtracting.
+# verbatim apart from their names and a subtraction taken one degree at a
+# time: each correction term is solved for by composing and subtracting.
 
 def reference_parametrix(a: SymbolSum) -> SymbolSum:
     """Right-inverse expansion: compose(parametrix(a), a) = 1 on the tracked degrees."""
@@ -175,7 +219,7 @@ def reference_parametrix(a: SymbolSum) -> SymbolSum:
     # identity in the same coefficient ring as a's leading term
     ident = SymbolSum(dim, {0: HomogeneousSymbol.radial(dim, 0, Multivector.scalar(dim, one))})
     for step in range(1, TRACKED):
-        err = (compose(b, a) - ident).component(-step)
+        err = compose(b, a).component(-step) - ident.component(-step)
         if err:
             b.parts[-p - step] = hs_mul(err, inv_lead).scale(QQi(Fraction(-1)))
     return b
@@ -207,7 +251,7 @@ def reference_sqrt_symbol(a: SymbolSum) -> SymbolSum:
         dim, -1, Multivector.scalar(dim, one).scale(QQi(Fraction(1, 2))))
     s = SymbolSum(dim, {1: HomogeneousSymbol.radial(dim, 1, Multivector.scalar(dim, one))})
     for k in range(1, TRACKED):
-        err = (a - compose(s, s)).component(2 - k)
+        err = a.component(2 - k) - compose(s, s).component(2 - k)
         if err:
             s.parts[1 - k] = hs_mul(err, half_inv)
     return s

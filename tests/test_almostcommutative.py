@@ -17,12 +17,12 @@ from spectral_torsion.almostcommutative import (_eym_lead, eym_dirac_symbol,
 from spectral_torsion.clifford import chirality
 from spectral_torsion.sampling import (random_anti_hermitian_traceless,
                                        random_one_form, random_qqi)
-from spectral_torsion.symcalc import compose, hs_is_zero, negative_power
+from spectral_torsion.symcalc import compose, negative_power
 from spectral_torsion.torsion import (TorsionTensor, _zero_order_symbol,
                                       dirac_symbol, lead_residue,
                                       residue_of_symbol, sphere_average)
 
-from oracle import dense_matrix_product
+from oracle import dense_matrix_product, hs_is_zero
 
 
 def _random_matrix(rng: Random, size: int) -> MatrixQQ:

@@ -1,15 +1,21 @@
 """End-to-end CLI checks: exit codes, report shape, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spectral_torsion.cli as cli
 from spectral_torsion import qmodels
@@ -458,6 +464,17 @@ class TestInputHardening:
         assert f"out must be a file name, got {out!r}" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nul_in_out_rejected(self, tmp_path, capsys, where):
+        # open() raised ValueError on the NUL: exit 3 after the report was printed
+        name = str(tmp_path / "report\0.json")
+        argv = ["--out", name] if where == "flag" else []
+        cfg = TestEval._write(tmp_path, {"dims": [2], **({"out": name} if where == "config" else {})})
+        rc, stdout, err = run(capsys, "verify", "--trials", "1", "--config", cfg, *argv)
+        assert rc == 2
+        assert f"out must be a file name, got {name!r}" in err
+        assert stdout == ""
+
     def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
         def crash(cfg):
             raise RuntimeError("boom\non two lines")
@@ -468,6 +485,149 @@ class TestInputHardening:
         assert rc == 3
         assert stdout == ""
         assert err == "error: internal: RuntimeError: boom on two lines\n"
+
+
+# The exit-code fuzz: main(argv) over every command, its flags and a config
+# file, with well-formed values kept small (dims 2..5, trials <= 2, N <= 50,
+# K <= 3, size <= 2) so each run is quick.  Half the cases are well formed
+# throughout; in the others any value may be malformed.
+BAD_TEXT = ["", " ", "x", "nan", "inf", "1/0", "0/0", "1e999999999", "-1e999999999",
+            "1e-999999999", "9" * (INT_STR_LIMIT + 1), "2.5", "-1", "0", "1,,x", "i/0", "1+",
+            "\0"]
+BAD_JSON = BAD_TEXT + [None, True, False, [], {}, [[2]], {"a": 1}, 2.5, -1, 0,
+                       float("nan"), float("inf"), 10 ** 30]
+VALID = {
+    "dims": ["2", "3", "4", "5", "2,4", "4,2", "3,5", " 4 ", "2,3,4,5"],
+    "trials": ["1", "2"],
+    "seed": ["0", "7", "-3", "123456789012345678901234567890"],
+    "N": ["2", "3", "10", "50"],
+    "K": ["2", "3"],
+    "size": ["1", "2"],
+    "q": ["0.5", "0.1", ".9", "1e-1"],
+    "phi": ["0", "1", "i", "1+2i", "-1/2-3/4i", "0.5", "2e3"],
+}
+WORK = ("trials", "N", "K", "size")   # absent, these default to long runs
+RAW_CONFIGS = [b"", b"{", b"[1, 2]", b"null", b'"text"', b"[" * 100_000, b"\xff\xfe{}"]
+COMPONENTS = ["1", "-2/3", 0, 4, "0.25", "1e3", "-1e-2"]
+
+
+def _dims_for(row: cli.Command) -> list:
+    """The well-formed dims a command accepts."""
+    return [d for d in VALID["dims"]
+            if not (row.single and "," in d)
+            and not (row.even and any(int(n) % 2 for n in d.split(",")))]
+
+
+def _as_json(key: str, text: str) -> list:
+    """The spellings a config file may give a well-formed value."""
+    spellings = [text]
+    if text.strip().lstrip("-").isdigit():
+        spellings += [int(text), float(text)]
+    if key == "dims":
+        spellings.append([int(x) for x in text.split(",")])
+    return spellings
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv, config): config is None, a JSON-able dict or raw bytes; the
+    placeholder {tmp} in either stands for a scratch directory."""
+    clean = draw(st.booleans())
+
+    def malformed() -> bool:
+        return not clean and draw(st.integers(0, 3)) == 0
+
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    row = cli.COMMANDS[name]
+    examples = row.help is None
+    argv = ["examples", name] if examples else [name]
+    config = {}
+    dim = row.dims[0]
+    for key in ("dims", "seed", "q", "phi") + WORK:
+        places = ["config"]
+        if examples or key in ("dims", "seed", "trials"):
+            places.append("flag")
+        if key not in WORK or (not examples and key != "trials"):
+            places.append("absent")
+        place = draw(st.sampled_from(places))
+        if place == "absent":
+            continue
+        if malformed():
+            value = draw(st.sampled_from(BAD_TEXT if place == "flag" else BAD_JSON))
+        else:
+            value = draw(st.sampled_from(_dims_for(row) if key == "dims" else VALID[key]))
+            if key == "dims":
+                dim = int(value.split(",")[0])
+            if place == "config":
+                value = draw(st.sampled_from(_as_json(key, value)))
+        if place == "flag":
+            argv += ["--" + key, value]
+        else:
+            config[key] = value
+    for form in ("u", "v", "w"):
+        # eval needs all three; elsewhere they are parsed and then unused
+        if draw(st.integers(0, 5)) >= (5 if name == "eval" else 1):
+            continue
+        if malformed():
+            config[form] = draw(st.sampled_from(BAD_JSON))
+        else:
+            length = dim + (draw(st.sampled_from([-1, 1])) if malformed() else 0)
+            config[form] = [draw(st.sampled_from(BAD_JSON if malformed() else COMPONENTS))
+                            for _ in range(length)]
+    if draw(st.booleans()):
+        triples = list(combinations(range(1, dim + 1), 3))
+        bad_triples = [[3, 2, 1], [0, 1, 2], [1, 2, dim + 1], [True, 2, 3], [1.5, 2, 3],
+                       ["1", "2", "3"], [1, 2], "123", None]
+        chosen = draw(st.lists(st.sampled_from(triples), unique=True, max_size=3)) \
+            if triples else []
+        entries = [{"indices": draw(st.sampled_from(bad_triples)) if malformed() else list(t),
+                    "value": draw(st.sampled_from(BAD_JSON if malformed() else COMPONENTS))}
+                   for t in chosen]
+        config["torsion"] = draw(st.sampled_from(BAD_JSON)) if malformed() else entries
+    out = draw(st.sampled_from([None, None, "flag", "config"]))
+    if out == "flag":
+        argv += ["--out", draw(st.sampled_from(["{tmp}", "{tmp}/\0"])) if malformed()
+                 else "{tmp}/report.json"]
+    elif out == "config":
+        config["out"] = draw(st.sampled_from(["", 3, True, [], "{tmp}/\0"])) if malformed() \
+            else "{tmp}/report.json"
+    if draw(st.booleans()):
+        argv.append("--mask-timing")
+    if malformed():
+        argv += draw(st.sampled_from([["--bogus"], ["extra"], ["--dims"], ["--phi", "1"]]))
+    if malformed():
+        return argv, draw(st.sampled_from(RAW_CONFIGS))
+    return argv, config or None
+
+
+class TestExitCodeFuzz:
+    """main(argv) exits 0, 1 or 2 whatever it is given, never with a traceback,
+    and a 0 or 1 comes with a JSON report whose pass agrees with it."""
+
+    @given(_cli_case())
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_contract(self, case):
+        argv, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            if config is not None:
+                path = Path(tmp) / "config.json"
+                if isinstance(config, bytes):
+                    path.write_bytes(config)
+                else:
+                    path.write_text(json.dumps(config).replace("{tmp}", tmp))
+                argv += ["--config", str(path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:   # argparse's usage errors
+                    code = exc.code
+        context = (argv, config, err.getvalue())
+        assert code in (0, 1, 2), context
+        assert "Traceback" not in out.getvalue() + err.getvalue(), context
+        if code in (0, 1):
+            assert json.loads(out.getvalue())["pass"] == (code == 0), context
 
 
 class TestReportPlumbing:

@@ -91,6 +91,22 @@ class TestMultivector:
         assert x.scalar_part() == qi(5)
         assert x.max_grade() == 2
 
+    @pytest.mark.parametrize("minus_one", [-1, qi(-1), Fraction(-1)])
+    def test_scale_by_minus_one_forms_no_product(self, monkeypatch, minus_one):
+        m = MatrixQQ.from_rows([[qi(1), qi(2, -1)], [qi(0), qi(Fraction(1, 3))]])
+        x = Multivector(3, {(1, 2): qi(2, 1), (3,): qi(Fraction(1, 2))})
+        y = Multivector(3, {(): m, (1, 3): m})
+        products = []
+        for owner in (QQi, MatrixQQ):
+            for name in ("__mul__", "__rmul__"):
+                original = getattr(owner, name)
+                monkeypatch.setattr(owner, name, lambda *args, f=original, n=name:
+                                    products.append(n) or f(*args))
+        for mv in (x, y):
+            assert mv.scale(minus_one) == -mv
+        assert products == []
+        assert x.scale(qi(2)) == x + x and products
+
     def test_rejects_non_canonical_keys(self):
         with pytest.raises(ValueError):
             Multivector(3, {(2, 1): qi(1)})

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used, and the package exports what it imports.
+"""Source hygiene: every imported name is used, the package exports what it imports,
+and every private module-level function of the package has a caller in the package.
 
 An AST pass over the package modules (not `__init__.py`, whose imports are
 re-exports) and every test file.  A name counts as used when it appears as a
@@ -56,3 +57,34 @@ def test_exports_are_the_imported_names():
                 for alias in node.names}
     public = sorted(name for name in imported if not name.startswith("_"))
     assert sorted(spectral_torsion.__all__) == public
+
+
+def uncalled_private_functions(sources: dict) -> list:
+    """(module, name) for each `_`-prefixed module-level function that no code in
+    `sources` (module name -> source) names outside the function's own body."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+
+    def names(nodes) -> set:
+        return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    out = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+                used = names(node for other, t in trees.items() for node in t.body
+                             if node is not fn)
+                if fn.name not in used:
+                    out.append((mod, fn.name))
+    return out
+
+
+def test_the_caller_scan_ignores_self_calls_and_strings():
+    sources = {"a": "def _used(): pass\ndef _rec(): _rec()\ndef _named(): pass\nx = '_named'\n",
+               "b": "import a\na._used()\n"}
+    assert uncalled_private_functions(sources) == [("a", "_rec"), ("a", "_named")]
+
+
+def test_every_private_function_has_a_caller():
+    """A private helper whose last caller is deleted goes with it."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert uncalled_private_functions(sources) == []

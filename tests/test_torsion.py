@@ -263,10 +263,11 @@ class TestSharedResiduePath:
             residue_of_symbol(op, dim)
 
 
-def _mixed_grade(rng: Random, dim: int) -> Multivector:
-    """Up to two random words of each grade 0..min(dim, 6), random QQi coefficients."""
+def _mixed_grade(rng: Random, dim: int, grades=None) -> Multivector:
+    """Up to two random words of each grade (0..min(dim, 6) by default), random
+    QQi coefficients."""
     terms = {}
-    for k in range(min(dim, 6) + 1):
+    for k in range(min(dim, 6) + 1) if grades is None else grades:
         for _ in range(rng.randint(1, 2)):
             terms[tuple(sorted(rng.sample(range(1, dim + 1), k)))] = random_qqi(rng)
     return Multivector(dim, terms)
@@ -289,6 +290,25 @@ class TestGradeLaw:
         want = HomogeneousSymbol.radial(dim, -dim, averaged_potential(v, dim))
         assert {d: h.terms for d, h in got.parts.items()} == \
             ({-dim: want.terms} if want else {})
+
+    @pytest.mark.parametrize("dim", range(3, 13))
+    def test_functional_reads_only_the_grade_three_part(self, dim):
+        # W(u v w D |D|^{-n}) for D = -g.xi + V: the parts of V of grade 0, 1,
+        # 2, 4 and 5 change nothing, and without a grade-3 part it is zero
+        rng = Random(800 + dim)
+        lead = random_one_form(rng, dim).action() * random_one_form(rng, dim).action() \
+            * random_one_form(rng, dim).action()
+
+        def functional(v: Multivector) -> ResidueValue:
+            d = first_order_symbol(dim, QQi(1), {0: v})
+            return lead_residue(lead, sphere_average(dirac_power(d), dim))
+        grades = {k for k in (0, 1, 2, 4, 5) if k <= dim}
+        v3, rest = _mixed_grade(rng, dim, (3,)), _mixed_grade(rng, dim, sorted(grades))
+        assert {len(w) for w in rest.terms} == grades
+        want = functional(v3)
+        assert not want.is_zero()
+        assert functional(v3 + rest) == want
+        assert functional(rest).is_zero()
 
     def test_grade_law_coefficients(self):
         # 0 for k = 1, -2 for k = 3, -4 for k = 5, -(n - k - 1) for even k
