@@ -559,13 +559,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args)
         report = COMMANDS[cfg.which or cfg.command].run(cfg)
         text = json.dumps(report, indent=2)
-        print(text)
+        # write --out first, so an unwritable one leaves no report on stdout
         if cfg.out:
             try:
                 with open(cfg.out, "w") as fh:
                     fh.write(text + "\n")
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}") from exc
+        print(text)
         return 0 if report["pass"] else 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

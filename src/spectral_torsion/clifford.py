@@ -68,6 +68,14 @@ def reduce_word(indices: Sequence[int]) -> Tuple[int, IndexWord]:
 _WORD_PRODUCTS: Dict[Tuple[IndexWord, IndexWord], Tuple[int, IndexWord]] = {}
 
 
+def _word_product(pair: Tuple[IndexWord, IndexWord]) -> Tuple[int, IndexWord]:
+    """Fill and return the entry a product misses.  An entry (sign, word) is
+    always truthy, hence `table.get(pair) or _word_product(pair)`; reduce_word
+    is read as a module global, so a replaced one (a call counter) takes."""
+    product = _WORD_PRODUCTS[pair] = reduce_word(pair[0] + pair[1])
+    return product
+
+
 _QQiTerms = List[Tuple[IndexWord, int, int, int]]
 
 
@@ -92,10 +100,7 @@ def _mul_qqi(left: _QQiTerms, right: _QQiTerms) -> Dict[IndexWord, QQi]:
     acc: Dict[IndexWord, list] = {}
     for w1, a1, b1, d1 in left:
         for w2, a2, b2, d2 in right:
-            product = table.get((w1, w2))
-            if product is None:
-                product = table[w1, w2] = reduce_word(w1 + w2)
-            sign, word = product
+            sign, word = table.get((w1, w2)) or _word_product((w1, w2))
             re, im, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
             if sign < 0:
                 re, im = -re, -im
@@ -128,10 +133,7 @@ def _mul_word(left: Dict[IndexWord, object], right: Dict[IndexWord, object],
     out: Dict[IndexWord, object] = {}
     for v, e in (right if word_on_left else left).items():
         pair = (w, v) if word_on_left else (v, w)
-        product = table.get(pair)
-        if product is None:
-            product = table[pair] = reduce_word(pair[0] + pair[1])
-        sign, word = product
+        sign, word = table.get(pair) or _word_product(pair)
         if unit:
             out[word] = e if sign == unit else -e
         else:
@@ -148,10 +150,7 @@ def _mul_generic(left: Dict[IndexWord, object],
     table = _WORD_PRODUCTS
     for w1, c1 in left.items():
         for w2, c2 in right.items():
-            product = table.get((w1, w2))
-            if product is None:
-                product = table[w1, w2] = reduce_word(w1 + w2)
-            sign, word = product
+            sign, word = table.get((w1, w2)) or _word_product((w1, w2))
             coeff = c1 * c2
             if sign < 0:
                 coeff = -coeff

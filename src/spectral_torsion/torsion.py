@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
@@ -32,100 +32,80 @@ OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 TORSION_KAPPA = Fraction(1, 8)
 
 
-def _clean_entries(tensor, admissible: Callable[[int, int, int], bool], error: str) -> None:
-    """Validate a 3-tensor's keys, coerce its values to Fraction, drop zeros.
-
-    error is formatted with the offending key and the dimension."""
-    clean: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j, k), v in tensor.entries.items():
-        if not admissible(i, j, k):
-            raise ValueError(error.format((i, j, k), tensor.dim))
-        v = _frac(v)
-        if v:
-            clean[(i, j, k)] = v
-    object.__setattr__(tensor, "entries", clean)
-
-
 @dataclass(frozen=True)
-class TorsionTensor:
-    """Totally antisymmetric 3-tensor; entries stored on strictly increasing keys."""
+class _Tensor3:
+    """A 3-tensor of Fractions, antisymmetric in the index positions _ANTI
+    (all three, the last two or the first two).
+
+    Entries are stored on keys in 1..dim that increase strictly along _ANTI;
+    zero values are dropped.  A subclass states _ANTI and its _KEY_ERROR,
+    formatted with the offending key and the dimension."""
 
     dim: int
     entries: Mapping[Tuple[int, int, int], Fraction]
+    _ANTI: ClassVar[Tuple[int, ...]]
+    _KEY_ERROR: ClassVar[str]
 
     def __post_init__(self) -> None:
-        _clean_entries(self, lambda a, b, c: 1 <= a < b < c <= self.dim,
-                       "torsion key {} not strictly increasing in 1..{}")
+        dim, first, last = self.dim, 0 in self._ANTI, 2 in self._ANTI
+        clean: Dict[Tuple[int, int, int], Fraction] = {}
+        for (i, j, k), v in self.entries.items():
+            if not (0 < i <= dim and 0 < j <= dim and 0 < k <= dim
+                    and (i < j or not first) and (j < k or not last)):
+                raise ValueError(self._KEY_ERROR.format((i, j, k), dim))
+            v = _frac(v)
+            if v:
+                clean[(i, j, k)] = v
+        object.__setattr__(self, "entries", clean)
+
+    def get(self, i: int, j: int, k: int) -> Fraction:
+        """The component at any index order: the stored value times the sign of
+        the permutation that sorts the _ANTI positions, 0 on a repeated index there."""
+        key, sign = [i, j, k], 1
+        pairs = tuple(zip(self._ANTI, self._ANTI[1:]))
+        # bubble sort by compare-exchange; on three positions it compares every pair
+        for p, q in pairs + pairs[:-1]:
+            if key[p] == key[q]:
+                return Fraction(0)
+            if key[p] > key[q]:
+                key[p], key[q], sign = key[q], key[p], -sign
+        v = self.entries.get(tuple(key), Fraction(0))
+        return v if sign > 0 else -v
+
+
+class TorsionTensor(_Tensor3):
+    """Totally antisymmetric 3-tensor; entries stored on strictly increasing keys."""
+
+    _ANTI = (0, 1, 2)
+    _KEY_ERROR = "torsion key {} not strictly increasing in 1..{}"
 
     @staticmethod
     def zero(dim: int) -> "TorsionTensor":
         return TorsionTensor(dim, {})
 
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        if len({i, j, k}) < 3:
-            return Fraction(0)
-        order = tuple(sorted((i, j, k)))
-        base = self.entries.get(order, Fraction(0))
-        if not base:
-            return base
-        # parity of the permutation taking sorted order to (i, j, k)
-        perm = [order.index(x) for x in (i, j, k)]
-        sign = 1
-        for p in range(3):
-            for q in range(p + 1, 3):
-                if perm[p] > perm[q]:
-                    sign = -sign
-        return base if sign > 0 else -base
-
     def is_zero(self) -> bool:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class ContorsionTensor:
+class ContorsionTensor(_Tensor3):
     """3-tensor antisymmetric in the last two indices: t_{ijk} = -t_{ikj}.
 
     Also serves for frame-connection rotation coefficients, which share this
     symmetry.  Entries stored with j < k.
     """
 
-    dim: int
-    entries: Mapping[Tuple[int, int, int], Fraction]
-
-    def __post_init__(self) -> None:
-        _clean_entries(self, lambda i, j, k: 1 <= min(i, j, k) and max(i, j, k) <= self.dim
-                       and j < k,
-                       "contorsion key {} must have 1 <= j < k <= {}")
-
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        if j == k:
-            return Fraction(0)
-        if j < k:
-            return self.entries.get((i, j, k), Fraction(0))
-        return -self.entries.get((i, k, j), Fraction(0))
+    _ANTI = (1, 2)
+    _KEY_ERROR = "contorsion key {} must have 1 <= j < k <= {}"
 
 
-@dataclass(frozen=True)
-class FrameConnection:
+class FrameConnection(_Tensor3):
     """Structure constants c_{ijk} of a frame: [e_i, e_j] = c_{ijk} e_k.
 
     Antisymmetric in the first two indices; entries stored with i < j.
     """
 
-    dim: int
-    entries: Mapping[Tuple[int, int, int], Fraction]
-
-    def __post_init__(self) -> None:
-        _clean_entries(self, lambda i, j, k: 1 <= min(i, j, k) and max(i, j, k) <= self.dim
-                       and i < j,
-                       "structure key {} must have 1 <= i < j <= {}")
-
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.entries.get((i, j, k), Fraction(0))
-        return -self.entries.get((j, i, k), Fraction(0))
+    _ANTI = (0, 1)
+    _KEY_ERROR = "structure key {} must have 1 <= i < j <= {}"
 
 
 def _half_cyclic_sum(x) -> ContorsionTensor:
@@ -167,20 +147,15 @@ def torsion_components_from_contorsion(tau: ContorsionTensor) -> Dict[Tuple[int,
 
 def torsion_from_contorsion(tau: ContorsionTensor) -> TorsionTensor:
     """Recover the totally antisymmetric torsion; rejects contorsions that
-    do not come from one."""
+    do not come from one.
+
+    The half-cyclic sum inverts T_{ijk} = tau_{ijk} - tau_{jik} on tensors
+    antisymmetric in one index pair, so the strictly increasing components
+    give the only candidate, and tau is accepted exactly when it maps back."""
     comp = torsion_components_from_contorsion(tau)
-    entries: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j, k), v in comp.items():
-        if len({i, j, k}) < 3:
-            if v:
-                raise ValueError("contorsion does not yield a totally antisymmetric torsion")
-            continue
-        if i < j < k:
-            entries[(i, j, k)] = v
-    t = TorsionTensor(tau.dim, entries)
-    for key, v in comp.items():
-        if t.get(*key) != v:
-            raise ValueError("contorsion does not yield a totally antisymmetric torsion")
+    t = TorsionTensor(tau.dim, {key: v for key, v in comp.items() if key[0] < key[1] < key[2]})
+    if contorsion_from_torsion(t) != tau:
+        raise ValueError("contorsion does not yield a totally antisymmetric torsion")
     return t
 
 

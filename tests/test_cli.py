@@ -288,6 +288,14 @@ class TestInputHardening:
         assert out == ""
         assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
 
+    def test_unwritable_out_leaves_stdout_empty(self, tmp_path, capsys):
+        # a directory cannot be opened for writing, and the report must not
+        # reach stdout before the write fails
+        rc, out, err = run(capsys, "verify", "--dims", "2", "--out", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write report: ")
+
     def test_non_integer_trials_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": "abc"}))
@@ -628,6 +636,8 @@ class TestExitCodeFuzz:
         assert "Traceback" not in out.getvalue() + err.getvalue(), context
         if code in (0, 1):
             assert json.loads(out.getvalue())["pass"] == (code == 0), context
+        if code == 2:
+            assert out.getvalue() == "", context
 
 
 class TestReportPlumbing:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -32,6 +33,20 @@ def frame_triple(dim):
     return tuple(OneForm.frame(dim, a) for a in (1, 2, 3))
 
 
+def _contorsion_draws():
+    """Seeded random_contorsion draws, n = 3..5, sparse to dense."""
+    for seed in range(60):
+        rng = Random(900 + seed)
+        yield random_contorsion(rng, 3 + seed % 3, sparsity=(0.05, 0.2, 0.7)[seed // 3 % 3])
+
+
+def _totally_antisymmetric(tau) -> bool:
+    """Independent test of tau = contorsion_from_torsion(T): for a totally
+    antisymmetric T that sum is T / 2, so tau must itself be totally antisymmetric."""
+    return all(tau.get(i, j, k) == -tau.get(j, i, k)
+               for i, j, k in product(range(1, tau.dim + 1), repeat=3))
+
+
 class TestTensors:
     def test_permutation_signs(self):
         t = TorsionTensor(4, {(1, 2, 3): Fraction(5)})
@@ -43,10 +58,19 @@ class TestTensors:
         assert t.get(1, 2, 4) == 0
 
     def test_key_validation(self):
-        with pytest.raises(ValueError):
-            TorsionTensor(3, {(2, 1, 3): Fraction(1)})
-        with pytest.raises(ValueError):
-            TorsionTensor(3, {(1, 2, 4): Fraction(1)})
+        # each class with two keys out of its canonical order: swapped, repeated
+        for cls, message, swapped, repeated in (
+                (TorsionTensor, "torsion key {} not strictly increasing in 1..3",
+                 (2, 1, 3), (1, 1, 2)),
+                (ContorsionTensor, "contorsion key {} must have 1 <= j < k <= 3",
+                 (1, 3, 2), (1, 2, 2)),
+                (FrameConnection, "structure key {} must have 1 <= i < j <= 3",
+                 (2, 1, 3), (1, 1, 2))):
+            for key in (swapped, repeated, (0, 1, 2), (1, 2, 4)):
+                with pytest.raises(ValueError, match=re.escape(message.format(key))):
+                    cls(3, {key: Fraction(1)})
+            with pytest.raises(ValueError, match="values to unpack"):
+                cls(3, {(1, 2): Fraction(1)})
 
     def test_contorsion_roundtrip(self):
         rng = Random(10)
@@ -54,6 +78,20 @@ class TestTensors:
             for _ in range(5):
                 t = random_torsion(rng, dim)
                 assert torsion_from_contorsion(contorsion_from_torsion(t)) == t
+        accepted = 0
+        for tau in _contorsion_draws():
+            # the totally antisymmetric part of a draw, which contorsion_from_torsion
+            # gives for twice its components
+            part = ContorsionTensor(tau.dim, {
+                (i, j, k): (tau.get(i, j, k) + tau.get(j, k, i) + tau.get(k, i, j)) / 3
+                for i, j, k in product(range(1, tau.dim + 1), repeat=3) if j < k})
+            for x in (tau, part):
+                if _totally_antisymmetric(x):
+                    t = torsion_from_contorsion(x)
+                    assert contorsion_from_torsion(t) == x
+                    assert all(v == 2 * x.get(*key) for key, v in t.entries.items())
+                    accepted += bool(t.entries)
+        assert accepted
 
     def test_components_antisymmetric_in_first_pair(self):
         rng = Random(11)
@@ -67,6 +105,36 @@ class TestTensors:
         tau = ContorsionTensor(3, {(1, 1, 2): Fraction(1)})
         with pytest.raises(ValueError):
             torsion_from_contorsion(tau)
+        # T_ijk = tau_ijk - tau_jik is antisymmetric in (i, j), with T_123 = -1
+        # but T_132 = 0
+        rejected = [ContorsionTensor(3, {(2, 1, 3): Fraction(1)})]
+        rejected += [tau for tau in _contorsion_draws() if not _totally_antisymmetric(tau)]
+        for tau in rejected:
+            with pytest.raises(ValueError, match="not yield a totally antisymmetric"):
+                torsion_from_contorsion(tau)
+
+    @pytest.mark.parametrize("cls, anti", [
+        (TorsionTensor, (0, 1, 2)), (ContorsionTensor, (1, 2)), (FrameConnection, (0, 1)),
+    ], ids=["torsion", "contorsion", "structure"])
+    def test_get_matches_parity_oracle(self, cls, anti):
+        # anti: the index positions in which cls is antisymmetric
+        dim = 4
+        keys = [key for key in product(range(1, dim + 1), repeat=3)
+                if all(key[p] < key[q] for p, q in zip(anti, anti[1:]))]
+        tensor = cls(dim, {key: Fraction(n + 1) for n, key in enumerate(keys)})
+        for key in product(range(1, dim + 1), repeat=3):
+            values = [key[p] for p in anti]
+            if len(set(values)) < len(values):
+                assert tensor.get(*key) == 0, key
+                continue
+            want = []
+            for perm in permutations(range(1, len(anti) + 1)):
+                moved = list(key)
+                for p, src in zip(anti, perm):
+                    moved[p] = key[anti[src - 1]]
+                if tuple(moved) in tensor.entries:
+                    want.append(_epsilon(perm) * tensor.entries[tuple(moved)])
+            assert len(want) == 1 and tensor.get(*key) == want[0], key
 
     def test_levi_civita_reproduces_structure(self):
         # torsion-free: om_{ijk} - om_{jik} = c_{ijk}
