@@ -22,9 +22,9 @@ from typing import Dict, List, Tuple
 from .clifford import Multivector, chirality, clifford_action
 from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
-from .symcalc import HomogeneousSymbol, SymbolSum, compose
-from .torsion import (OneForm, ResidueValue, TorsionTensor, _zero_order_symbol,
-                      dirac_power, dirac_symbol, first_order_symbol,
+from .symcalc import SymbolSum
+from .torsion import (OneForm, ResidueValue, TorsionTensor, _dirac_average,
+                      _zero_order_symbol, dirac_symbol, first_order_symbol,
                       inverse_power_symbol, lead_residue, sphere_average)
 
 
@@ -121,20 +121,11 @@ def _eym_lead(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
     return Multivector(model.dim, {word: left_mult_matrix(c) for word, c in uvw.terms.items()})
 
 
-def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
-                        w: MatrixOneForm) -> HomogeneousSymbol:
-    """Degree -n component of sigma(u v w D~ |D~|^{-n}) before integration/trace.
-
-    Exposed so linearity in the ad operators can be checked term by term."""
-    lead = _zero_order_symbol(_eym_lead(model, u, v, w))
-    return compose(lead, dirac_power(eym_dirac_symbol(model))).component(-model.dim)
-
-
 def eym_torsion_density(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
                         w: MatrixOneForm) -> ResidueValue:
     """W(u v w D~ |D~|^{-n}) for the Yang-Mills fluctuation; identically zero."""
     lead = _eym_lead(model, u, v, w)
-    return lead_residue(lead, sphere_average(dirac_power(eym_dirac_symbol(model)), model.dim))
+    return lead_residue(lead, _dirac_average(eym_dirac_symbol(model)))
 
 
 # two-sheeted space -----------------------------------------------------------
@@ -197,8 +188,8 @@ class DoubledEvaluator:
         d = dirac_symbol(TorsionTensor.zero(dim), dim)
         power = inverse_power_symbol(d)
         # a diagonal block of the lead meets D |D|^{-n}, an off-diagonal one chi |D|^{-n}
-        self.d_power = sphere_average(compose(d, power), dim)
-        self.chi_power = sphere_average(compose(_zero_order_symbol(chirality(dim)), power), dim)
+        self.d_power = sphere_average(d, power)
+        self.chi_power = sphere_average(_zero_order_symbol(chirality(dim)), power)
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
                 o3: DoubledOneForm) -> ResidueValue:

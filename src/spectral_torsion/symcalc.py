@@ -13,7 +13,11 @@ the metric only at x-order 2, the truncation is exact for the TRACKED = 2 top
 degrees kept here, which are all the residue functionals read.
 
 Composition follows sigma(AB) = sum_alpha (1/alpha!) d_xi^alpha A . (-i d_x)^alpha B;
-with order-1 jets only |alpha| <= 1 contributes, exactly.
+with order-1 jets only |alpha| <= 1 contributes, exactly.  That rule is one
+generator of factor pairs per degree (_factor_pairs).  compose multiplies every
+pair; integrate_product, the sphere integral at x = 0 of the degree -n part of
+a product, walks the same pairs and multiplies only the term pairs that are
+free of x and have an even exponent sum, the only ones with a nonzero moment.
 
 Powers are closed forms.  When the leading part L of a is c ||xi||^p times the
 unit with no x factor, and S is the next component, a^e = L^e + e L^(e-1) S on
@@ -108,15 +112,18 @@ class HomogeneousSymbol:
         return out
 
 
+def _is_unit(mv: Multivector) -> bool:
+    """True when mv is the unit word with the QQi one as coefficient."""
+    c = mv.terms.get(())
+    return len(mv.terms) == 1 and type(c) is QQi and c == 1
+
+
 def _radial_unit_power(h: HomogeneousSymbol) -> Optional[int]:
     """r when h is the single term ||xi||^r with the QQi unit as coefficient."""
     if len(h.terms) != 1:
         return None
     ((alpha, rho, xj), mv), = h.terms.items()
-    if xj or any(alpha) or len(mv.terms) != 1:
-        return None
-    c = mv.terms.get(())
-    return rho if type(c) is QQi and c == 1 else None
+    return None if xj or any(alpha) or not _is_unit(mv) else rho
 
 
 def hs_mul(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymbol:
@@ -192,6 +199,25 @@ class SymbolSum:
         return self.parts.get(degree, HomogeneousSymbol(self.dim, degree))
 
 
+def _factor_pairs(a: SymbolSum, b: SymbolSum, lead_a: int, d: int):
+    """The composition rule: (x, y, s) for each pair of homogeneous factors whose
+    pointwise product x y, times s (None for 1), compose sums into degree d."""
+    for da in range(lead_a, lead_a - TRACKED, -1):
+        ha = a.parts.get(da)
+        if ha is None:
+            continue
+        if d - da in b.parts:
+            yield ha, b.parts[d - da], None
+        # first-order correction: d_xi A at degree da lands at da - 1,
+        # over the x indices that B's part carries
+        bb = b.parts.get(d + 1 - da)
+        if bb is not None:
+            for l in sorted({xj for (_, _, xj) in bb.terms if xj}):
+                dxa = hs_dxi(ha, l)
+                if dxa:
+                    yield dxa, hs_dx(bb, l), MINUS_I
+
+
 def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
     """Symbol of the operator product, valid for the top TRACKED degrees."""
     if a.dim != b.dim:
@@ -203,21 +229,9 @@ def compose(a: SymbolSum, b: SymbolSum) -> SymbolSum:
     parts: Dict[int, HomogeneousSymbol] = {}
     for d in range(lead, lead - TRACKED, -1):
         acc = HomogeneousSymbol(a.dim, d)
-        for da in range(lead_a, lead_a - TRACKED, -1):
-            db = d - da
-            if db in b.parts and da in a.parts:
-                for key, mv in hs_mul(a.parts[da], b.parts[db]).terms.items():
-                    acc._merge(key, mv)
-            # first-order correction: d_xi A at degree da lands at da - 1,
-            # over the x indices that B's part carries
-            dbc = d + 1 - da
-            if da in a.parts and dbc in b.parts:
-                bb = b.parts[dbc]
-                for l in sorted({xj for (_, _, xj) in bb.terms if xj}):
-                    dxa = hs_dxi(a.parts[da], l)
-                    if dxa:
-                        for key, mv in hs_mul(dxa, hs_dx(bb, l)).terms.items():
-                            acc._merge(key, mv.scale(MINUS_I))
+        for x, y, s in _factor_pairs(a, b, lead_a, d):
+            for key, mv in hs_mul(x, y).terms.items():
+                acc._merge(key, mv if s is None else mv.scale(s))
         if acc:
             parts[d] = acc
     return SymbolSum(a.dim, parts)
@@ -346,6 +360,17 @@ def moment(alpha: Iterable[int], dim: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _add_scaled(acc: Dict[Tuple[int, ...], object], c: QQi, mv: Multivector) -> None:
+    """acc += c * mv, word by word, dropping words that cancel."""
+    for word, coeff in mv.terms.items():
+        s = acc.get(word)
+        s = c * coeff if s is None else s + c * coeff
+        if s:
+            acc[word] = s
+        else:
+            acc.pop(word, None)
+
+
 def sphere_integrate(h: HomogeneousSymbol) -> Multivector:
     """Integrate over ||xi|| = 1 at x = 0; result is in units of V(S^{n-1})."""
     acc: Dict[Tuple[int, ...], object] = {}
@@ -354,16 +379,49 @@ def sphere_integrate(h: HomogeneousSymbol) -> Multivector:
             continue  # x = 0 at the base point
         c = moment(alpha, h.dim)
         if c:
-            c = QQi.coerce(c)
-            for word, coeff in mv.terms.items():
-                s = acc.get(word)
-                s = c * coeff if s is None else s + c * coeff
-                if s:
-                    acc[word] = s
-                else:
-                    acc.pop(word, None)
+            _add_scaled(acc, QQi.coerce(c), mv)
     out = Multivector(h.dim)
     out.terms = acc
+    return out
+
+
+def _check_tracked(lead: int, degree: int) -> None:
+    """Reject a degree outside the window of a symbol with leading degree lead."""
+    if not lead >= degree > lead - TRACKED:
+        raise ValueError(f"degree {degree} component not tracked (leading {lead}, "
+                         f"tracked {TRACKED})")
+
+
+def integrate_product(a: SymbolSum, b: SymbolSum) -> Multivector:
+    """sphere_integrate(compose(a, b).component(-n)), n = a.dim, in one pass.
+
+    Walks compose's factor pairs (_factor_pairs) and multiplies only the term
+    pairs the integral keeps: both terms free of x (x = 0 at the base point)
+    and an even exponent sum (odd sphere moments vanish); a QQi unit factor
+    is not multiplied, as in hs_mul.  Rejects a product whose tracked window
+    misses -n.
+    """
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    dim = a.dim
+    out = Multivector(dim)
+    if not a.parts or not b.parts:
+        return out
+    lead_a = a.leading_degree
+    _check_tracked(lead_a + b.leading_degree, -dim)
+    for x, y, s in _factor_pairs(a, b, lead_a, -dim):
+        ys = [(al, mv, _is_unit(mv)) for (al, _, xj), mv in y.terms.items() if not xj]
+        for (al1, _, x1), m1 in x.terms.items():
+            if x1:
+                continue
+            unit1 = _is_unit(m1)
+            for al2, m2, unit2 in ys:
+                alpha = tuple(p + q for p, q in zip(al1, al2))
+                if any(e % 2 for e in alpha):
+                    continue
+                c = QQi.coerce(moment(alpha, dim))
+                _add_scaled(out.terms, c if s is None else c * s,
+                            m2 if unit1 else m1 if unit2 else m1 * m2)
     return out
 
 

@@ -13,6 +13,12 @@ for a totally antisymmetric torsion tensor T, with kappa = TORSION_KAPPA = 1/8,
 giving the full symbol sigma(D_T) = -g^j xi_j - i*kappa T_{jkl} g^j g^k g^l
 (plus an optional x-linear Levi-Civita term used by the curvature-independence
 tests).  The residue is linear in kappa.
+
+The pipeline: inverse_power_symbol writes D^2 down from that symbol and takes
+its closed-form powers to |D|^{-n}; sphere_average integrates the degree -n
+part of D |D|^{-n} over the sphere in one pass from the two factors
+(symcalc.integrate_product), without composing them; lead_residue
+multiplies the average by the lead and traces.
 """
 from __future__ import annotations
 
@@ -23,8 +29,9 @@ from typing import ClassVar, Dict, Mapping, Optional, Tuple
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
 from .scalars import QQi, ScalarLike, _frac, qi
-from .symcalc import (TRACKED, HomogeneousSymbol, SymbolSum, compose, negative_power,
-                      parametrix, sphere_integrate, sphere_volume, sqrt_symbol)
+from .symcalc import (HomogeneousSymbol, SymbolSum, _check_tracked, compose,
+                      integrate_product, negative_power, parametrix, sphere_integrate,
+                      sphere_volume, sqrt_symbol)
 
 OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 
@@ -50,7 +57,9 @@ class _Tensor3:
         dim, first, last = self.dim, 0 in self._ANTI, 2 in self._ANTI
         clean: Dict[Tuple[int, int, int], Fraction] = {}
         for (i, j, k), v in self.entries.items():
-            if not (0 < i <= dim and 0 < j <= dim and 0 < k <= dim
+            # type, not isinstance: a bool is an int but no index
+            if not (all(type(x) is int for x in (i, j, k))
+                    and 0 < i <= dim and 0 < j <= dim and 0 < k <= dim
                     and (i < j or not first) and (j < k or not last)):
                 raise ValueError(self._KEY_ERROR.format((i, j, k), dim))
             v = _frac(v)
@@ -123,8 +132,13 @@ def _half_cyclic_sum(x) -> ContorsionTensor:
 
 
 def contorsion_from_torsion(t: TorsionTensor) -> ContorsionTensor:
-    """tau_{ijk} = (T_{ijk} + T_{kij} + T_{kji}) / 2."""
-    return _half_cyclic_sum(t)
+    """tau_{ijk} = (T_{ijk} + T_{kij} + T_{kji}) / 2, which is T_{ijk} / 2 for a
+    totally antisymmetric T: each stored T_abc gives the three keys j < k."""
+    entries: Dict[Tuple[int, int, int], Fraction] = {}
+    for (a, b, c), v in t.entries.items():
+        entries[(a, b, c)] = entries[(c, a, b)] = v / 2
+        entries[(b, a, c)] = -v / 2
+    return ContorsionTensor(t.dim, entries)
 
 
 def torsion_components_from_contorsion(tau: ContorsionTensor) -> Dict[Tuple[int, int, int], Fraction]:
@@ -270,14 +284,63 @@ def dirac_symbol(t: TorsionTensor, dim: int,
     return first_order_symbol(dim, QQi(Fraction(1)), potential)
 
 
+def _dirac_square(d: SymbolSum) -> SymbolSum:
+    """D^2 on its two tracked degrees, written down for the spelling
+    first_order_symbol writes, D = -g^j xi_j (x) one + sum_s V_s x_s:
+
+        D^2 = ||xi||^2 one + sum_{j,s} xi_j x_s (-(g^j V_s + V_s g^j)).
+
+    The cross terms g^j g^k cancel in pairs, and the first-order correction
+    d_xi D . d_x D lands at degree 0, below the tracked ones.  For a word w,
+    g^j w + w g^j is 2 g^j w when w holds j and has odd length or holds no j
+    and has even length, and 0 otherwise, so only those words are multiplied.
+    The result equals compose(d, d), with ||xi||^2 spelled sum_j xi_j^2 as
+    compose spells it.  Any other spelling of d is refused.
+    """
+    dim = d.dim
+    if set(d.parts) - {0, 1} or 1 not in d.parts:
+        raise ValueError("symbol is not first order with a zero-order potential")
+    lead = d.parts[1].terms
+    # the ring is read off one coefficient; every term must then be -g^j xi_j (x) one
+    c = next(iter(next(iter(lead.values())).terms.values()))
+    one = QQi(Fraction(1)) if isinstance(c, QQi) else type(c).identity(c.size)
+    minus_one = -one
+    units = {tuple(int(l == j) for l in range(1, dim + 1)): j for j in range(1, dim + 1)}
+    axes: Dict[int, Tuple[int, ...]] = {}
+    for (alpha, _, xj), mv in lead.items():
+        j = units.get(alpha)
+        if xj or mv.terms != {(j,): minus_one}:
+            raise ValueError("leading part is not -g^j xi_j times the ring one")
+        axes[j] = alpha
+    if len(axes) != dim:
+        raise ValueError("leading part is not -g^j xi_j times the ring one")
+    potential = d.component(0).terms
+    if any(any(alpha) for alpha, _, _ in potential):
+        raise ValueError("degree-0 term depends on xi")
+    deg1: Dict[Tuple[Tuple[int, ...], int, int], Multivector] = {}
+    for j, alpha in axes.items():
+        g = Multivector.gamma(dim, j)
+        for (_, _, s), v in potential.items():
+            kept = Multivector(dim)
+            kept.terms = {w: m for w, m in v.terms.items() if (j in w) == (len(w) % 2 == 1)}
+            if kept:
+                deg1[(alpha, 0, s)] = (g * kept).scale(-2)
+    square = Multivector.scalar(dim, one)
+    return SymbolSum(dim, {
+        2: HomogeneousSymbol(dim, 2, {(tuple(2 * a for a in alpha), 0, 0): square
+                                      for alpha in axes.values()}),
+        1: HomogeneousSymbol(dim, 1, deg1)})
+
+
 def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
     """Symbol of |D|^{-n} to two leading degrees, from the symbol d of D; n = d.dim.
 
-    Even n: the (n/2)-fold composed parametrix of D^2.  Odd n: the
-    ((n-1)/2)-power composed with the parametrix of sqrt(D^2).
+    D^2 is written down (_dirac_square).  Even n: the (n/2)-th power of its
+    parametrix.  Odd n: the ((n-1)/2)-th power composed with the parametrix of
+    sqrt(D^2).
     """
     dim = d.dim
-    d2 = compose(d, d)
+    d2 = _dirac_square(d)
     if dim % 2 == 0:
         return negative_power(d2, dim // 2)
     inv_sqrt = parametrix(sqrt_symbol(d2))
@@ -286,50 +349,42 @@ def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
     return compose(negative_power(d2, (dim - 1) // 2), inv_sqrt)
 
 
-def dirac_power(d: SymbolSum) -> SymbolSum:
-    """Symbol of D |D|^{-n} to two leading degrees, from the symbol d of D."""
-    return compose(d, inverse_power_symbol(d))
-
-
 def _zero_order_symbol(mv: Multivector) -> SymbolSum:
     return SymbolSum(mv.dim, {0: HomogeneousSymbol(mv.dim, 0, {((0,) * mv.dim, 0, 0): mv})})
-
-
-def _residue_component(sym: SymbolSum, dim: int) -> HomogeneousSymbol:
-    """The degree -n component; rejects symbols whose tracked window misses -n."""
-    if sym.parts:
-        lead = sym.leading_degree
-        if not (lead >= -dim > lead - TRACKED):
-            raise ValueError(f"degree -{dim} component not tracked (leading {lead}, "
-                             f"tracked {TRACKED})")
-    return sym.component(-dim)
 
 
 def residue_of_symbol(sym: SymbolSum, dim: int) -> ResidueValue:
     """Wodzicki residue density of an order >= -n symbol: integrate and trace
     the degree -n component.  Rejects symbols whose tracked window misses -n."""
-    integrated = sphere_integrate(_residue_component(sym, dim))
-    mult = clifford_trace(integrated)
+    if sym.parts:
+        _check_tracked(sym.leading_degree, -dim)
+    mult = clifford_trace(sphere_integrate(sym.component(-dim)))
     if not isinstance(mult, QQi):
         raise TypeError("residue trace did not reduce to a scalar")
     return ResidueValue(mult, dim)
 
 
-def sphere_average(op: SymbolSum, dim: int) -> SymbolSum:
-    """The radial symbol A' ||xi||^{-n}, A' the sphere integral of op's degree -n part.
+def sphere_average(a: SymbolSum, b: SymbolSum) -> SymbolSum:
+    """The radial symbol A' ||xi||^{-n}, A' the sphere integral of the degree -n
+    part of the operator a b, n = a.dim (symcalc.integrate_product).
 
     Its own sphere integral is A', so for every zero-order lead P that depends
-    on neither xi nor x, W(P op) = W(P A' ||xi||^{-n}): the degree -n part of
-    sigma(P op) is exactly P times that of op (the first-order correction needs
-    d_xi P = 0), and integration is linear.  Rejects op if its tracked window
-    misses -n.
+    on neither xi nor x, W(P a b) = W(P A' ||xi||^{-n}): the degree -n part of
+    sigma(P a b) is exactly P times that of a b (the first-order correction
+    needs d_xi P = 0), and integration is linear.  Rejects a b if its tracked
+    window misses -n.
     """
-    avg = sphere_integrate(_residue_component(op, dim))
-    return SymbolSum(dim, {-dim: HomogeneousSymbol.radial(dim, -dim, avg)})
+    dim = a.dim
+    return SymbolSum(dim, {-dim: HomogeneousSymbol.radial(dim, -dim, integrate_product(a, b))})
+
+
+def _dirac_average(d: SymbolSum) -> SymbolSum:
+    """sphere_average of D |D|^{-n}, from the symbol d of D."""
+    return sphere_average(d, inverse_power_symbol(d))
 
 
 def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
-    """W(P op) for a constant zero-order lead P, given averaged = sphere_average(op, n)."""
+    """W(P a b) for a constant zero-order lead P, given averaged = sphere_average(a, b)."""
     return residue_of_symbol(compose(_zero_order_symbol(lead), averaged), averaged.dim)
 
 
@@ -341,7 +396,7 @@ def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     return lead_residue(u.action() * v.action() * w.action(),
-                        sphere_average(dirac_power(dirac_symbol(t, dim, omega_jet)), dim))
+                        _dirac_average(dirac_symbol(t, dim, omega_jet)))
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:
@@ -386,16 +441,20 @@ def chirality_functional(u: OneForm, t: TorsionTensor, dim: int = 4) -> ResidueV
         raise ValueError("chirality functional is defined for n = 4")
     if u.dim != 4 or t.dim != 4:
         raise ValueError("dimension mismatch among inputs")
-    return lead_residue(chirality(dim) * u.action(),
-                        sphere_average(dirac_power(dirac_symbol(t, dim)), dim))
+    return lead_residue(chirality(dim) * u.action(), _dirac_average(dirac_symbol(t, dim)))
 
 
 def spectral_closedness_check(p: Multivector, dim: int) -> ResidueValue:
     """W(P D |D|^{-n}) for a zero-order P and the torsion-free D; exactly 0."""
     if p.dim != dim:
         raise ValueError("dimension mismatch")
-    d = dirac_symbol(TorsionTensor.zero(dim), dim)
-    return lead_residue(p, sphere_average(dirac_power(d), dim))
+    return lead_residue(p, _dirac_average(dirac_symbol(TorsionTensor.zero(dim), dim)))
+
+
+def _inverse_power_average(dim: int) -> SymbolSum:
+    """sphere_average of the unit times |D|^{-n}, for the torsion-free D."""
+    return sphere_average(_zero_order_symbol(Multivector.scalar(dim, QQi(Fraction(1)))),
+                          inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim)))
 
 
 def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
@@ -404,13 +463,11 @@ def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
         raise ValueError("metric functional requires even dimension")
     if u.dim != dim or v.dim != dim:
         raise ValueError("dimension mismatch among inputs")
-    pw = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
-    return lead_residue(u.action() * v.action(), sphere_average(pw, dim))
+    return lead_residue(u.action() * v.action(), _inverse_power_average(dim))
 
 
 def volume_functional(f: ScalarLike, dim: int) -> ResidueValue:
     """W(f D^{-n}) for even n and a scalar f: equals 2^m V(S^{n-1}) f."""
     if dim % 2:
         raise ValueError("volume functional requires even dimension")
-    pw = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
-    return lead_residue(Multivector.scalar(dim, QQi.coerce(f)), sphere_average(pw, dim))
+    return lead_residue(Multivector.scalar(dim, QQi.coerce(f)), _inverse_power_average(dim))

@@ -6,8 +6,9 @@ time, the noncommutative-torus product one pair of modes at a time, symbol
 composition and sphere integration with a fresh sum per term, the iterative
 parametrix, negative power and square root that compose and subtract, the
 polynomial zero test that decides whether two spellings of a symbol are the same
-function, the dense truncated quantum-disc representation, and the grade law
-for the sphere average of a potential."""
+function, the dense truncated quantum-disc representation, the grade law
+for the sphere average of a potential, and the symbol of D |D|^{-n} composed
+in full (D^2 and D times the power by compose)."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -20,12 +21,15 @@ import math
 
 import numpy as np
 
-from spectral_torsion import (HomogeneousSymbol, MatrixQQ, Multivector, OneForm, QQi,
-                              QuantumDiscElement, ResidueValue, SymbolSum,
-                              TorsionTensor, TorusElement, clifford_trace, moment,
-                              qi, reduce_word)
+from spectral_torsion import (EymModel, HomogeneousSymbol, MatrixOneForm, MatrixQQ,
+                              Multivector, OneForm, QQi, QuantumDiscElement,
+                              ResidueValue, SymbolSum, TorsionTensor, TorusElement,
+                              clifford_trace, eym_dirac_symbol, moment, negative_power,
+                              parametrix, qi, reduce_word, sqrt_symbol)
+from spectral_torsion.almostcommutative import _eym_lead
 from spectral_torsion.symcalc import (MINUS_I, TRACKED, _leading_scalar, compose, hs_dx,
                                       hs_dxi, hs_mul)
+from spectral_torsion.torsion import _zero_order_symbol
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -361,3 +365,27 @@ def mc_sphere_average(batch: np.ndarray, alpha) -> float:
         if e:
             vals = vals * batch[:, l] ** e
     return float(vals.mean())
+
+
+def dirac_power(d: SymbolSum) -> SymbolSum:
+    """Symbol of D |D|^{-n} from the symbol d of D, every product by compose:
+    D^2 = compose(d, d), its powers as inverse_power_symbol takes them, and
+    compose(d, .) of the result."""
+    dim = d.dim
+    d2 = compose(d, d)
+    if dim % 2 == 0:
+        power = negative_power(d2, dim // 2)
+    else:
+        power = parametrix(sqrt_symbol(d2))
+        if dim > 1:
+            power = compose(negative_power(d2, (dim - 1) // 2), power)
+    return compose(d, power)
+
+
+def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
+                        w: MatrixOneForm) -> HomogeneousSymbol:
+    """Degree -n component of sigma(u v w D~ |D~|^{-n}) before integration and
+    trace, composed in full, so linearity in the ad operators can be checked
+    term by term."""
+    lead = _zero_order_symbol(_eym_lead(model, u, v, w))
+    return compose(lead, dirac_power(eym_dirac_symbol(model))).component(-model.dim)

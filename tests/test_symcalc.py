@@ -11,7 +11,7 @@ from spectral_torsion import (CurvatureJet, HomogeneousSymbol, MatrixQQ,
                               Multivector, PiValue, SymbolSum, compose, moment,
                               negative_power, parametrix, qi, sphere_integrate,
                               sphere_volume, sqrt_symbol)
-from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_mul
+from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_mul, integrate_product
 import spectral_torsion.symcalc as symcalc
 from spectral_torsion.torsion import dirac_symbol
 from spectral_torsion.torsion import TorsionTensor
@@ -129,9 +129,10 @@ def _symbol(draw, dim: int, lead: int, ring: str, unit_lead: bool) -> SymbolSum:
 
 
 @st.composite
-def _symbol_pair(draw):
+def _symbol_pair(draw, reach_minus_n: bool = False):
     """Two symbols with QQi, MatrixQQ or mixed coefficients; a radial unit
-    leads the left one, the right one, both or neither."""
+    leads the left one, the right one, both or neither.  With reach_minus_n the
+    leading degrees add up to -n or -n + 1, the window that holds degree -n."""
     dim = draw(st.integers(2, 4))
     rings = draw(st.sampled_from([("qqi", "qqi"), ("matrix", "matrix"),
                                   ("qqi", "matrix"), ("matrix", "qqi")]))
@@ -140,8 +141,11 @@ def _symbol_pair(draw):
     # QQi to MatrixQQ coefficients, a sum the rings do not define
     units = [u and not (ring == "matrix" and other == "qqi")
              for u, ring, other in zip(units, rings, rings[::-1])]
-    return tuple(draw(_symbol(dim, draw(st.integers(-3, 2)), ring, unit))
-                 for ring, unit in zip(rings, units))
+    lead_a = draw(st.integers(-3, 2))
+    lead_b = -dim - lead_a + draw(st.integers(0, 1)) if reach_minus_n else \
+        draw(st.integers(-3, 2))
+    return tuple(draw(_symbol(dim, lead, ring, unit))
+                 for lead, ring, unit in zip((lead_a, lead_b), rings, units))
 
 
 def _parts_equal(got: SymbolSum, want: SymbolSum) -> bool:
@@ -158,6 +162,34 @@ class TestAgainstReference:
     def test_compose_matches_copy_per_sum_reference(self, pair):
         a, b = pair
         assert _parts_equal(compose(a, b), reference_compose(a, b))
+
+    @given(_symbol_pair(reach_minus_n=True))
+    @settings(max_examples=80, deadline=None)
+    def test_integrate_product_matches_the_composed_integral(self, pair):
+        # a drawn leading part may be empty, which moves the window down by one
+        a, b = pair
+        dim = a.dim
+        if not a.parts or not b.parts:
+            assert not integrate_product(a, b)
+            return
+        lead = a.leading_degree + b.leading_degree
+        if lead >= -dim > lead - symcalc.TRACKED:
+            want = reference_sphere_integrate(reference_compose(a, b).component(-dim))
+            assert integrate_product(a, b).terms == want.terms
+        else:
+            with pytest.raises(ValueError, match=f"degree {-dim} component not tracked"):
+                integrate_product(a, b)
+
+    def test_integrate_product_takes_the_first_order_correction(self):
+        # -i d_xi1 ||xi||^(1-n) . d_x1 (x_1 xi_1 ||xi||^-1 g^1) = -i (1-n) xi_1^2 ||xi||^(-n-2) g^1
+        # averages to i (n-1)/n g^1; with a xi-free x_1 term it would average to 0
+        dim = 3
+        g1 = Multivector.gamma(dim, 1)
+        a = SymbolSum(dim, {1 - dim: _radial_unit(dim, 1 - dim)})
+        b = SymbolSum(dim, {0: _sym(dim, 0, [((1, 0, 0), -1, 1, g1)])})
+        want = g1.scale(qi(0, Fraction(dim - 1, dim)))
+        assert integrate_product(a, b) == want
+        assert reference_sphere_integrate(reference_compose(a, b).component(-dim)) == want
 
     def test_radial_unit_shares_the_other_factors_coefficients(self):
         dim = 3

@@ -7,26 +7,28 @@ from random import Random
 
 import pytest
 
-from spectral_torsion import (ContorsionTensor, CurvatureJet, FrameConnection,
-                              HomogeneousSymbol, Multivector, OneForm, QQi,
-                              ResidueValue, TorsionTensor,
+from spectral_torsion import (ContorsionTensor, CurvatureJet, EymModel, FrameConnection,
+                              HomogeneousSymbol, MatrixQQ, Multivector, OneForm, QQi,
+                              ResidueValue, SymbolSum, TorsionTensor,
                               chirality_functional, closed_form_torsion,
-                              contorsion_from_torsion, levi_civita_from_structure,
+                              contorsion_from_torsion, eym_dirac_symbol,
+                              levi_civita_from_structure,
                               metric_functional, pipeline_coefficient, qi,
                               spectral_closedness_check, torsion_contraction,
                               torsion_from_contorsion, torsion_functional,
                               trace_power, volume_functional)
-from spectral_torsion.sampling import (random_contorsion, random_one_form,
+from spectral_torsion.sampling import (random_anti_hermitian_traceless,
+                                       random_contorsion, random_one_form,
                                        random_qqi, random_torsion)
-from spectral_torsion.symcalc import compose
-from spectral_torsion.torsion import (TORSION_KAPPA, _zero_order_symbol, dirac_power,
-                                      dirac_symbol, first_order_symbol,
+from spectral_torsion.symcalc import compose, integrate_product, sphere_integrate
+from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_square, _half_cyclic_sum,
+                                      _zero_order_symbol, dirac_symbol, first_order_symbol,
                                       inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
                                       torsion_components_from_contorsion,
                                       torsion_form_multivector)
 
-from oracle import averaged_potential, perturbation_residue, torsion_cube
+from oracle import averaged_potential, dirac_power, perturbation_residue, torsion_cube
 
 
 def frame_triple(dim):
@@ -71,6 +73,24 @@ class TestTensors:
                     cls(3, {key: Fraction(1)})
             with pytest.raises(ValueError, match="values to unpack"):
                 cls(3, {(1, 2): Fraction(1)})
+
+    def test_non_integer_indices_rejected(self):
+        # a float, a string or a bool index fails the key check, with its message
+        for cls, message in ((TorsionTensor, "torsion key {} not strictly increasing in 1..3"),
+                             (ContorsionTensor, "contorsion key {} must have 1 <= j < k <= 3"),
+                             (FrameConnection, "structure key {} must have 1 <= i < j <= 3")):
+            for key in ((1.5, 2, 3), ("1", 2, 3), (True, 2, 3), (1, 2, 3.0)):
+                with pytest.raises(ValueError, match=re.escape(message.format(key))):
+                    cls(3, {key: Fraction(1)})
+
+    def test_contorsion_is_the_half_cyclic_sum(self):
+        # the three keys written per stored T_abc against the sum over every key
+        rng = Random(13)
+        for dim in range(3, 8):
+            for sparsity in (0.2, 0.6, 1.0):
+                t = random_torsion(rng, dim, sparsity=sparsity)
+                assert contorsion_from_torsion(t) == _half_cyclic_sum(t)
+        assert contorsion_from_torsion(t).entries
 
     def test_contorsion_roundtrip(self):
         rng = Random(10)
@@ -313,20 +333,20 @@ class TestSharedResiduePath:
             t = random_torsion(rng, dim, sparsity=1.0)
             u, v, w = (random_one_form(rng, dim) for _ in range(3))
             d = dirac_symbol(t, dim)
-            op = compose(d, inverse_power_symbol(d))
             lead = u.action() * v.action() * w.action()
-            want = residue_of_symbol(compose(_zero_order_symbol(lead), op), dim)
+            want = residue_of_symbol(compose(_zero_order_symbol(lead), dirac_power(d)), dim)
             assert not want.is_zero()
-            assert lead_residue(lead, sphere_average(op, dim)) == want
+            assert lead_residue(lead, sphere_average(d, inverse_power_symbol(d))) == want
             assert torsion_functional(u, v, w, t, dim) == want
 
     def test_window_missing_minus_n_rejected(self):
         # D_T alone tracks degrees 1 and 0, so degree -4 is outside its window
         dim = 4
         op = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
+        one = _zero_order_symbol(Multivector.scalar(dim, QQi(1)))
         message = r"degree -4 component not tracked \(leading 1, tracked 2\)"
         with pytest.raises(ValueError, match=message):
-            sphere_average(op, dim)
+            sphere_average(op, one)
         with pytest.raises(ValueError, match=message):
             residue_of_symbol(op, dim)
 
@@ -354,7 +374,8 @@ class TestGradeLaw:
         potential = {0: v}
         if jet:
             potential[rng.randint(1, dim)] = _mixed_grade(rng, dim)
-        got = sphere_average(dirac_power(first_order_symbol(dim, QQi(1), potential)), dim)
+        d = first_order_symbol(dim, QQi(1), potential)
+        got = sphere_average(d, inverse_power_symbol(d))
         want = HomogeneousSymbol.radial(dim, -dim, averaged_potential(v, dim))
         assert {d: h.terms for d, h in got.parts.items()} == \
             ({-dim: want.terms} if want else {})
@@ -369,7 +390,7 @@ class TestGradeLaw:
 
         def functional(v: Multivector) -> ResidueValue:
             d = first_order_symbol(dim, QQi(1), {0: v})
-            return lead_residue(lead, sphere_average(dirac_power(d), dim))
+            return lead_residue(lead, sphere_average(d, inverse_power_symbol(d)))
         grades = {k for k in (0, 1, 2, 4, 5) if k <= dim}
         v3, rest = _mixed_grade(rng, dim, (3,)), _mixed_grade(rng, dim, sorted(grades))
         assert {len(w) for w in rest.terms} == grades
@@ -385,6 +406,106 @@ class TestGradeLaw:
             word = tuple(range(1, k + 1))
             assert averaged_potential(Multivector(dim, {word: QQi(1)}), dim).terms == \
                 ({word: QQi(c)} if c else {})
+
+
+def _dirac_draws(dim: int):
+    """(d, ring one): QQi Dirac symbols with a mixed-grade potential, without and
+    with an x-linear jet, and for even n the EYM symbol over MatrixQQ."""
+    rng = Random(1100 + dim)
+    out = []
+    for jet in (False, True):
+        potential = {0: _mixed_grade(rng, dim)}
+        for s in rng.sample(range(1, dim + 1), min(2, dim)) if jet else ():
+            potential[s] = _mixed_grade(rng, dim)
+        out.append((first_order_symbol(dim, QQi(1), potential), QQi(1)))
+    if dim % 2 == 0:
+        model = EymModel(dim, 2, tuple(random_anti_hermitian_traceless(rng, 2)
+                                       for _ in range(dim)))
+        out.append((eym_dirac_symbol(model), MatrixQQ.identity(4)))
+    return out
+
+
+def _parts(sym):
+    return {d: h.terms for d, h in sym.parts.items()}
+
+
+class TestWrittenDownProducts:
+    """D^2 written down, and the sphere average of a product in one pass, each
+    exactly equal to the composed form it replaces."""
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_square_is_compose(self, dim):
+        for d, _ in _dirac_draws(dim):
+            assert _parts(_dirac_square(d)) == _parts(compose(d, d))
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_one_pass_average_is_the_composed_integral(self, dim):
+        # the program's pairs (D and the lead against |D|^{-n}), the reversed
+        # pair, and D |D|^{-n} against the potential, whose x-linear jet takes
+        # the first-order correction
+        rng = Random(1200 + dim)
+        nonzero = 0
+        for d, one in _dirac_draws(dim):
+            power = inverse_power_symbol(d)
+            lead = _zero_order_symbol(_mixed_grade(rng, dim) * Multivector.scalar(dim, one))
+            for a, b in ((d, power), (lead, power), (power, d),
+                         (dirac_power(d), SymbolSum(dim, {0: d.component(0)}))):
+                want = sphere_integrate(compose(a, b).component(-dim))
+                assert integrate_product(a, b) == want
+                nonzero += bool(want)
+        assert nonzero
+
+    def test_average_forms_only_the_products_that_survive(self, monkeypatch):
+        # compose(d, P) forms the n x n products of g^j xi_j with P's xi_k terms;
+        # only the n with j = k have a nonzero sphere moment
+        dim = 8
+        d = dirac_symbol(random_torsion(Random(1300), dim, sparsity=1.0), dim)
+        power = inverse_power_symbol(d)
+        mul, calls = Multivector.__mul__, []
+
+        def spy(a, b):
+            calls.append(1)
+            return mul(a, b)
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        compose(d, power)
+        assert len(calls) == dim * dim
+        calls.clear()
+        integrate_product(d, power)
+        assert len(calls) == dim
+
+    def test_square_refuses_other_spellings(self):
+        dim = 3
+        d = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
+        lead, potential = d.parts[1], d.parts[0]
+        g1, g2 = Multivector.gamma(dim, 1), Multivector.gamma(dim, 2)
+        e1 = (1, 0, 0)
+        for bad in (
+                {**lead.terms, ((0,) * dim, 1, 0): g1},       # a radial ||xi|| g^1 term
+                {**lead.terms, (e1, 0, 0): g1.scale(-2)},     # one coefficient differs
+                {k: v.scale(2) for k, v in lead.terms.items()},   # -2 g^j, not -g^j
+                {**lead.terms, (e1, 0, 0): g2.scale(-1)},     # g^2 on xi_1
+                {**lead.terms, (e1, 0, 2): g1},               # an x-linear lead term
+                {k: v for k, v in lead.terms.items() if k[0] != e1}):   # xi_1 missing
+            with pytest.raises(ValueError, match="leading part is not -g"):
+                inverse_power_symbol(SymbolSum(dim, {1: HomogeneousSymbol(dim, 1, bad),
+                                                     0: potential}))
+        xi_term = potential + HomogeneousSymbol(dim, 0, {(e1, -1, 0): g1})
+        with pytest.raises(ValueError, match="degree-0 term depends on xi"):
+            inverse_power_symbol(SymbolSum(dim, {1: lead, 0: xi_term}))
+        for other in (compose(d, d), SymbolSum(dim, {0: potential}),
+                      SymbolSum(dim, {1: lead, -1: HomogeneousSymbol.radial(dim, -1, g1)})):
+            with pytest.raises(ValueError, match="not first order"):
+                inverse_power_symbol(other)
+
+    def test_untracked_degree_refused(self):
+        # D D tracks degrees 2 and 1, so degree -3 is outside its window
+        dim = 3
+        d = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
+        message = r"degree -3 component not tracked \(leading 2, tracked 2\)"
+        with pytest.raises(ValueError, match=message):
+            integrate_product(d, d)
+        with pytest.raises(ValueError, match=message):
+            sphere_average(d, d)
 
 
 class TestKernels:
