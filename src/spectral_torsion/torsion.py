@@ -15,10 +15,11 @@ giving the full symbol sigma(D_T) = -g^j xi_j - i*kappa T_{jkl} g^j g^k g^l
 tests).  The residue is linear in kappa.
 
 The pipeline: inverse_power_symbol writes D^2 down from that symbol and takes
-its closed-form powers to |D|^{-n}; sphere_average integrates the degree -n
-part of D |D|^{-n} over the sphere in one pass from the two factors
-(symcalc.integrate_product), without composing them; lead_residue
-multiplies the average by the lead and traces.
+one closed-form power of it to |D|^{-n}; sphere_average integrates the
+degree -n part of D |D|^{-n} over the sphere in one pass from the two factors
+(symcalc.integrate_product), without composing them; lead_residue cuts the
+lead to the words the average holds, the only ones the trace can read,
+multiplies and traces.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
 from .scalars import QQi, ScalarLike, _frac, qi
 from .symcalc import (HomogeneousSymbol, SymbolSum, _check_tracked, compose,
-                      integrate_product, negative_power, parametrix, sphere_integrate,
-                      sphere_volume, sqrt_symbol)
+                      integrate_product, negative_power, sphere_integrate, sphere_volume,
+                      sqrt_symbol)
 
 OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 
@@ -335,18 +336,15 @@ def _dirac_square(d: SymbolSum) -> SymbolSum:
 def inverse_power_symbol(d: SymbolSum) -> SymbolSum:
     """Symbol of |D|^{-n} to two leading degrees, from the symbol d of D; n = d.dim.
 
-    D^2 is written down (_dirac_square).  Even n: the (n/2)-th power of its
-    parametrix.  Odd n: the ((n-1)/2)-th power composed with the parametrix of
-    sqrt(D^2).
+    D^2 is written down (_dirac_square).  Even n: its (n/2)-th negative power.
+    Odd n: the n-th negative power of sqrt(D^2).  Either is one closed form
+    (symcalc._power), with no compose.
     """
     dim = d.dim
     d2 = _dirac_square(d)
     if dim % 2 == 0:
         return negative_power(d2, dim // 2)
-    inv_sqrt = parametrix(sqrt_symbol(d2))
-    if dim == 1:
-        return inv_sqrt
-    return compose(negative_power(d2, (dim - 1) // 2), inv_sqrt)
+    return negative_power(sqrt_symbol(d2), dim)
 
 
 def _zero_order_symbol(mv: Multivector) -> SymbolSum:
@@ -384,7 +382,23 @@ def _dirac_average(d: SymbolSum) -> SymbolSum:
 
 
 def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
-    """W(P a b) for a constant zero-order lead P, given averaged = sphere_average(a, b)."""
+    """W(P a b) for a constant zero-order lead P, given averaged = sphere_average(a, b).
+
+    P is cut to the words that some term of averaged holds before it is
+    composed.  This is exact: P is free of xi and x, so each term of the
+    product is P times a term of averaged, and the trace reads only the unit
+    word, which two canonical words reach only when they are equal.  The cut
+    lead keeps P's dimension, so a mismatch is still refused by compose.  An
+    empty averaged (a torsion-free D, every EYM model) leaves P whole: there
+    is nothing to save, as compose returns at once on an empty factor, and
+    perfbench's tracer times the lead step only as a compose whose left
+    factor is a nonempty zero-order symbol.
+    """
+    held = {w for h in averaged.parts.values() for mv in h.terms.values() for w in mv.terms}
+    if held:
+        cut = Multivector(lead.dim)
+        cut.terms = {w: c for w, c in lead.terms.items() if w in held}
+        lead = cut
     return residue_of_symbol(compose(_zero_order_symbol(lead), averaged), averaged.dim)
 
 

@@ -7,8 +7,9 @@ composition and sphere integration with a fresh sum per term, the iterative
 parametrix, negative power and square root that compose and subtract, the
 polynomial zero test that decides whether two spellings of a symbol are the same
 function, the dense truncated quantum-disc representation, the grade law
-for the sphere average of a potential, and the symbol of D |D|^{-n} composed
-in full (D^2 and D times the power by compose)."""
+for the sphere average of a potential, the symbol of D |D|^{-n} composed
+in full (D^2, the odd-n power and D times the power by compose), and the lead
+residue with the whole lead composed."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from spectral_torsion import (EymModel, HomogeneousSymbol, MatrixOneForm, Matrix
 from spectral_torsion.almostcommutative import _eym_lead
 from spectral_torsion.symcalc import (MINUS_I, TRACKED, _leading_scalar, compose, hs_dx,
                                       hs_dxi, hs_mul)
-from spectral_torsion.torsion import _zero_order_symbol
+from spectral_torsion.torsion import _zero_order_symbol, residue_of_symbol
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -367,19 +368,30 @@ def mc_sphere_average(batch: np.ndarray, alpha) -> float:
     return float(vals.mean())
 
 
-def dirac_power(d: SymbolSum) -> SymbolSum:
-    """Symbol of D |D|^{-n} from the symbol d of D, every product by compose:
-    D^2 = compose(d, d), its powers as inverse_power_symbol takes them, and
-    compose(d, .) of the result."""
+def composed_inverse_power(d: SymbolSum) -> SymbolSum:
+    """Symbol of |D|^{-n} from the symbol d of D, every product by compose:
+    D^2 = compose(d, d); even n its (n/2)-th negative power, odd n the
+    ((n-1)/2)-th one composed with the parametrix of sqrt(D^2)."""
     dim = d.dim
     d2 = compose(d, d)
     if dim % 2 == 0:
-        power = negative_power(d2, dim // 2)
-    else:
-        power = parametrix(sqrt_symbol(d2))
-        if dim > 1:
-            power = compose(negative_power(d2, (dim - 1) // 2), power)
-    return compose(d, power)
+        return negative_power(d2, dim // 2)
+    power = parametrix(sqrt_symbol(d2))
+    if dim > 1:
+        power = compose(negative_power(d2, (dim - 1) // 2), power)
+    return power
+
+
+def dirac_power(d: SymbolSum) -> SymbolSum:
+    """Symbol of D |D|^{-n} from the symbol d of D, every product by compose:
+    compose(d, .) of composed_inverse_power(d)."""
+    return compose(d, composed_inverse_power(d))
+
+
+def reference_lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
+    """W(P a b) for a constant zero-order lead P with the whole lead composed,
+    given averaged = sphere_average(a, b)."""
+    return residue_of_symbol(compose(_zero_order_symbol(lead), averaged), averaged.dim)
 
 
 def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,

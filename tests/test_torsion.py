@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -17,18 +17,20 @@ from spectral_torsion import (ContorsionTensor, CurvatureJet, EymModel, FrameCon
                               spectral_closedness_check, torsion_contraction,
                               torsion_from_contorsion, torsion_functional,
                               trace_power, volume_functional)
+from spectral_torsion import torsion
 from spectral_torsion.sampling import (random_anti_hermitian_traceless,
-                                       random_contorsion, random_one_form,
+                                       random_contorsion, random_fraction, random_one_form,
                                        random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose, integrate_product, sphere_integrate
-from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_square, _half_cyclic_sum,
-                                      _zero_order_symbol, dirac_symbol, first_order_symbol,
-                                      inverse_power_symbol, lead_residue,
+from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _dirac_square,
+                                      _half_cyclic_sum, _zero_order_symbol, dirac_symbol,
+                                      first_order_symbol, inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
                                       torsion_components_from_contorsion,
                                       torsion_form_multivector)
 
-from oracle import averaged_potential, dirac_power, perturbation_residue, torsion_cube
+from oracle import (averaged_potential, composed_inverse_power, dirac_power,
+                    perturbation_residue, reference_lead_residue, torsion_cube)
 
 
 def frame_triple(dim):
@@ -473,6 +475,13 @@ class TestWrittenDownProducts:
         integrate_product(d, power)
         assert len(calls) == dim
 
+    @pytest.mark.parametrize("dim", range(3, 10, 2))
+    def test_odd_power_is_the_composed_power(self, dim):
+        # |D|^{-n} as the n-th negative power of sqrt(D^2), against the
+        # ((n-1)/2)-th power of D^2 composed with the parametrix of sqrt(D^2)
+        for d, _ in _dirac_draws(dim):
+            assert _parts(inverse_power_symbol(d)) == _parts(composed_inverse_power(d))
+
     def test_square_refuses_other_spellings(self):
         dim = 3
         d = dirac_symbol(TorsionTensor(dim, {(1, 2, 3): Fraction(1)}), dim)
@@ -506,6 +515,138 @@ class TestWrittenDownProducts:
             integrate_product(d, d)
         with pytest.raises(ValueError, match=message):
             sphere_average(d, d)
+
+
+def _matrix_grade(rng: Random, dim: int) -> Multivector:
+    """_mixed_grade's words with random 2x2 MatrixQQ coefficients."""
+    return Multivector(dim, {w: MatrixQQ.from_rows([[random_qqi(rng) for _ in range(2)]
+                                                    for _ in range(2)])
+                             for w in _mixed_grade(rng, dim).terms})
+
+
+class TestLeadCut:
+    """lead_residue composes only the lead words the averaged symbol holds, and
+    equals the residue with the whole lead composed (reference_lead_residue)."""
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_matches_the_whole_lead(self, dim):
+        rng = Random(1400 + dim)
+        nonzero = 0
+        for d, one in _dirac_draws(dim):
+            averaged = _dirac_average(d)
+            for _ in range(3):
+                lead = _mixed_grade(rng, dim) * Multivector.scalar(dim, one)
+                want = reference_lead_residue(lead, averaged)
+                assert lead_residue(lead, averaged) == want
+                nonzero += not want.is_zero()
+        assert nonzero
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_every_term_of_the_average_is_read(self, dim):
+        # a hand-built averaged symbol with a radial term, a xi_1^2 term and an
+        # x-linear term at degree -n, and a term at degree -n + 1: the words
+        # held by any of them are kept, whichever term the trace reads
+        rng = Random(1450 + dim)
+        sq = (2,) + (0,) * (dim - 1)
+        averaged = SymbolSum(dim, {
+            -dim: HomogeneousSymbol(dim, -dim, {
+                ((0,) * dim, -dim, 0): _mixed_grade(rng, dim, (1, 3)),
+                (sq, -dim - 2, 0): _mixed_grade(rng, dim, (0, 2)),
+                ((0,) * dim, -dim, 1): _mixed_grade(rng, dim)}),
+            1 - dim: HomogeneousSymbol.radial(dim, 1 - dim, _mixed_grade(rng, dim))})
+        for _ in range(4):
+            lead = _mixed_grade(rng, dim)
+            want = reference_lead_residue(lead, averaged)
+            assert not want.is_zero()
+            assert lead_residue(lead, averaged) == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matrix_coefficients(self, dim):
+        # every EYM average is empty, so a nonzero MatrixQQ one is built directly
+        rng = Random(1500 + dim)
+        d = first_order_symbol(dim, MatrixQQ.identity(2), {0: _matrix_grade(rng, dim)})
+        averaged = _dirac_average(d)
+        assert averaged.parts
+        nonzero = 0
+        for _ in range(3):
+            lead = _matrix_grade(rng, dim)
+            want = reference_lead_residue(lead, averaged)
+            assert lead_residue(lead, averaged) == want
+            nonzero += not want.is_zero()
+        assert nonzero
+
+    def test_lead_sharing_no_word_is_zero(self, monkeypatch):
+        dim = 5
+        rng = Random(1600)
+        d = first_order_symbol(dim, QQi(1), {0: _mixed_grade(rng, dim)})
+        averaged = _dirac_average(d)
+        (held,) = (mv for h in averaged.parts.values() for mv in h.terms.values())
+        words = (w for k in range(dim + 1) for w in combinations(range(1, dim + 1), k))
+        lead = Multivector(dim, {w: random_qqi(rng, nonzero=True)
+                                 for w in words if w not in held.terms})
+        assert held and lead
+        assert reference_lead_residue(lead, averaged).is_zero()
+        mul, calls = Multivector.__mul__, []
+
+        def spy(a, b):
+            calls.append(1)
+            return mul(a, b)
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        assert lead_residue(lead, averaged) == ResidueValue(QQi(), dim)
+        assert not calls
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_empty_average_passes_the_lead_whole(self, dim, monkeypatch):
+        averaged = _dirac_average(dirac_symbol(TorsionTensor.zero(dim), dim))
+        assert not averaged.parts
+        lead = _mixed_grade(Random(1700 + dim), dim)
+        seen = []
+
+        def spy(a, b):
+            seen.append(a)
+            return compose(a, b)
+        monkeypatch.setattr(torsion, "compose", spy)
+        assert lead_residue(lead, averaged) == ResidueValue(QQi(), dim)
+        (a,) = seen
+        assert a.parts[0].terms == {((0,) * dim, 0, 0): lead}
+
+    def test_other_dimension_refused(self):
+        dim = 4
+        rng = Random(1800)
+        d = first_order_symbol(dim, QQi(1), {0: _mixed_grade(rng, dim)})
+        averaged = _dirac_average(d)
+        empty = _dirac_average(dirac_symbol(TorsionTensor.zero(dim), dim))
+        for other in (dim - 1, dim + 1):
+            for avg in (averaged, empty):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    lead_residue(_mixed_grade(rng, other), avg)
+
+    def test_lead_product_forms_only_the_held_pairs(self, monkeypatch):
+        # at n = 8 with cyclic-band torsion the average holds the 8 band words
+        # and the lead u v w its 8 + 56 words of grade 1 and 3; only the 8 band
+        # words of the lead are multiplied, 8 x 8 word pairs, not 64 x 8
+        dim = 8
+        rng = Random(1900)
+        band = {tuple(sorted((a + k) % dim + 1 for k in range(3))) for a in range(dim)}
+        t = TorsionTensor(dim, {abc: random_fraction(rng, nonzero=True) for abc in band})
+        u, v, w = (OneForm(dim, tuple(random_fraction(rng, nonzero=True) for _ in range(dim)))
+                   for _ in range(3))
+        lead = u.action() * v.action() * w.action()
+        d = dirac_symbol(t, dim)
+        averaged = _dirac_average(d)
+        (held,) = (mv for h in averaged.parts.values() for mv in h.terms.values())
+        assert set(held.terms) == band
+        assert len(lead.terms) == dim + len(list(combinations(range(dim), 3))) == 64
+        want = reference_lead_residue(lead, averaged)
+        assert not want.is_zero()
+        mul, pairs = Multivector.__mul__, []
+
+        def spy(a, b):
+            pairs.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        assert lead_residue(lead, averaged) == want
+        assert pairs == [dim * dim]
 
 
 class TestKernels:
