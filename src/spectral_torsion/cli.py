@@ -7,13 +7,15 @@ byte-identical report except for the timestamp and per-check elapsed fields
 (which --mask-timing zeroes out).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
-or usage error, 3 internal error (one stderr line, no traceback).
+or usage error, 3 internal error (one stderr line, no traceback).  A reader
+that closes stdout early is no error: the exit code is still the report's 0 or 1.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -566,7 +568,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     fh.write(text + "\n")
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}") from exc
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: the report's verdict stands, and stdout
+            # points at devnull so the interpreter's flush at exit prints nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0 if report["pass"] else 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

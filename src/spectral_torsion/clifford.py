@@ -23,7 +23,6 @@ path, one ring multiplication and addition per pair of words.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,18 +162,6 @@ def _mul_generic(left: Dict[IndexWord, object],
     return out
 
 
-@dataclass(frozen=True)
-class GammaWord:
-    """A scalar multiple of a product g^{a_1} ... g^{a_k}, not yet reduced."""
-
-    indices: Tuple[int, ...]
-    scalar: QQi = field(default_factory=lambda: QQi(Fraction(1)))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(self.indices))
-        object.__setattr__(self, "scalar", QQi.coerce(self.scalar))
-
-
 class Multivector:
     """Finite sum of canonical words with ring coefficients.
 
@@ -288,14 +275,6 @@ class Multivector:
     def scalar_part(self) -> object:
         return self.terms.get((), QQi())
 
-    def grade(self, k: int) -> "Multivector":
-        r = Multivector(self.dim)
-        r.terms = {w: c for w, c in self.terms.items() if len(w) == k}
-        return r
-
-    def max_grade(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -307,14 +286,6 @@ class Multivector:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def canonicalize(word: GammaWord, dim: int) -> Multivector:
-    """Reduce a raw gamma word to canonical multivector form."""
-    _check_indices(word.indices, dim)
-    sign, canon = reduce_word(word.indices)
-    coeff = word.scalar if sign > 0 else -word.scalar
-    return Multivector(dim, {canon: coeff} if coeff else {})
 
 
 def trace_power(dim: int) -> int:

@@ -364,9 +364,6 @@ class QuantumDiscElement:
                                   {(c, a): v.conjugate()
                                    for (a, c), v in self.coeffs.items()})
 
-    def total_degree(self) -> int:
-        return max((a + c for a, c in self.coeffs), default=0)
-
     def distance(self, other: "QuantumDiscElement") -> float:
         d = self - other
         return sum(abs(v) for v in d.coeffs.values())

@@ -9,7 +9,7 @@ from typing import Optional
 from .matrices import MatrixQQ
 from .qmodels import TorusElement
 from .scalars import QQi, qi
-from .torsion import ContorsionTensor, OneForm, TorsionTensor
+from .torsion import OneForm, TorsionTensor
 
 _NUMERATORS = tuple(range(-9, 10))
 _DENOMINATORS = (1, 2, 3)
@@ -44,17 +44,6 @@ def random_one_form(rng: Random, dim: int, nonzero: bool = True) -> OneForm:
         comps = tuple(random_fraction(rng) for _ in range(dim))
         if any(comps) or not nonzero:
             return OneForm(dim, comps)
-
-
-def random_contorsion(rng: Random, dim: int, sparsity: float = 0.7) -> ContorsionTensor:
-    entries = {}
-    for i in range(1, dim + 1):
-        for j, k in combinations(range(1, dim + 1), 2):
-            if rng.random() < sparsity:
-                f = random_fraction(rng)
-                if f:
-                    entries[(i, j, k)] = f
-    return ContorsionTensor(dim, entries)
 
 
 def random_anti_hermitian_traceless(rng: Random, size: int) -> MatrixQQ:

@@ -37,7 +37,7 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .clifford import Multivector
-from .scalars import QQi, _frac
+from .scalars import QQi
 
 TermKey = Tuple[Tuple[int, ...], int, int]   # (alpha, rho, xj); xj = 0 means none
 MINUS_I = QQi(Fraction(0), Fraction(-1))
@@ -432,23 +432,6 @@ class PiValue:
     rational: Fraction
     pipow: int
 
-    def __float__(self) -> float:
-        from math import pi
-        return float(self.rational) * pi ** self.pipow
-
-    def __mul__(self, other) -> "PiValue":
-        if isinstance(other, PiValue):
-            return PiValue(self.rational * other.rational, self.pipow + other.pipow)
-        return PiValue(self.rational * Fraction(other), self.pipow)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.pipow == 0:
-            return str(self.rational)
-        p = "pi" if self.pipow == 1 else f"pi^{self.pipow}"
-        return f"{self.rational}*{p}"
-
 
 def sphere_volume(dim: int) -> PiValue:
     """V(S^{n-1}) = 2 pi^{n/2} / Gamma(n/2), kept exact as rational * pi^k."""
@@ -458,58 +441,3 @@ def sphere_volume(dim: int) -> PiValue:
         return PiValue(Fraction(2, factorial(dim // 2 - 1)), dim // 2)
     return PiValue(Fraction(2 ** ((dim + 1) // 2), _double_factorial(dim - 2)),
                    (dim - 1) // 2)
-
-
-# curvature jets --------------------------------------------------------------
-
-class CurvatureJet:
-    """Normal-coordinate curvature data at the base point.
-
-    riemann maps (a,b,c,d) to exact rational R_{abcd}; entries not stored are
-    zero.  Validated: antisymmetry in (a,b) and (c,d), pair symmetry, first
-    Bianchi identity.  ricci is the (1,3) contraction Ric_{cd} = sum_a R_{acad}.
-    """
-
-    def __init__(self, dim: int, riemann: Mapping[Tuple[int, int, int, int], Fraction]):
-        self.dim = dim
-        R: Dict[Tuple[int, int, int, int], Fraction] = {}
-        for key, val in riemann.items():
-            if len(key) != 4 or not all(1 <= i <= dim for i in key):
-                raise ValueError(f"bad riemann index {key}")
-            v = _frac(val)
-            if v:
-                R[key] = v
-        self.riemann = R
-        self._validate()
-
-    def r(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return self.riemann.get((a, b, c, d), Fraction(0))
-
-    def _validate(self) -> None:
-        rng = range(1, self.dim + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        v = self.r(a, b, c, d)
-                        if v != -self.r(b, a, c, d):
-                            raise ValueError("riemann not antisymmetric in first pair")
-                        if v != -self.r(a, b, d, c):
-                            raise ValueError("riemann not antisymmetric in second pair")
-                        if v != self.r(c, d, a, b):
-                            raise ValueError("riemann not pair symmetric")
-                        bianchi = v + self.r(a, c, d, b) + self.r(a, d, b, c)
-                        if bianchi:
-                            raise ValueError("riemann violates first Bianchi identity")
-
-    def ricci(self, c: int, d: int) -> Fraction:
-        return sum((self.r(a, c, a, d) for a in range(1, self.dim + 1)), Fraction(0))
-
-    def spin_connection_linear(self) -> Dict[Tuple[int, int, int, int], Fraction]:
-        """omega_{jkl}(x) = sum_s w[(j,k,l,s)] x_s, one standard normal-coordinate jet."""
-        out: Dict[Tuple[int, int, int, int], Fraction] = {}
-        for (a, b, c, d), v in self.riemann.items():
-            # omega_{j k l ; s} = -1/2 R_{k l j s}
-            key = (c, a, b, d)
-            out[key] = out.get(key, Fraction(0)) - v / 2
-        return {k: v for k, v in out.items() if v}

@@ -10,9 +10,11 @@ global residue is this density integrated over the manifold.
 
 The Dirac operator with torsion acts as D_T = D - i*kappa T_{jkl} g^j g^k g^l
 for a totally antisymmetric torsion tensor T, with kappa = TORSION_KAPPA = 1/8,
-giving the full symbol sigma(D_T) = -g^j xi_j - i*kappa T_{jkl} g^j g^k g^l
-(plus an optional x-linear Levi-Civita term used by the curvature-independence
-tests).  The residue is linear in kappa.
+giving the full symbol sigma(D_T) = -g^j xi_j - i*kappa T_{jkl} g^j g^k g^l.
+The residue is linear in kappa.  The symbol calculus keeps x-linear terms
+(first_order_symbol takes them), but no functional here builds one: a
+connection term linear in x never reaches the residue, which the tests prove
+with a curvature jet of their own.
 
 The pipeline: inverse_power_symbol writes D^2 down from that symbol and takes
 one closed-form power of it to |D|^{-n}; sphere_average integrates the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
@@ -33,8 +35,6 @@ from .scalars import QQi, ScalarLike, _frac, qi
 from .symcalc import (HomogeneousSymbol, SymbolSum, _check_tracked, compose,
                       integrate_product, negative_power, sphere_integrate, sphere_volume,
                       sqrt_symbol)
-
-OmegaJet = Mapping[Tuple[int, int, int, int], Fraction]
 
 # kappa in D_T = D - i*kappa T_{jkl} g^j g^k g^l
 TORSION_KAPPA = Fraction(1, 8)
@@ -108,30 +108,6 @@ class ContorsionTensor(_Tensor3):
     _KEY_ERROR = "contorsion key {} must have 1 <= j < k <= {}"
 
 
-class FrameConnection(_Tensor3):
-    """Structure constants c_{ijk} of a frame: [e_i, e_j] = c_{ijk} e_k.
-
-    Antisymmetric in the first two indices; entries stored with i < j.
-    """
-
-    _ANTI = (0, 1)
-    _KEY_ERROR = "structure key {} must have 1 <= i < j <= {}"
-
-
-def _half_cyclic_sum(x) -> ContorsionTensor:
-    """(x_{ijk} + x_{kij} + x_{kji}) / 2 for a 3-tensor x with .dim and .get."""
-    entries: Dict[Tuple[int, int, int], Fraction] = {}
-    rng = range(1, x.dim + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if j < k:
-                    v = (x.get(i, j, k) + x.get(k, i, j) + x.get(k, j, i)) / 2
-                    if v:
-                        entries[(i, j, k)] = v
-    return ContorsionTensor(x.dim, entries)
-
-
 def contorsion_from_torsion(t: TorsionTensor) -> ContorsionTensor:
     """tau_{ijk} = (T_{ijk} + T_{kij} + T_{kji}) / 2, which is T_{ijk} / 2 for a
     totally antisymmetric T: each stored T_abc gives the three keys j < k."""
@@ -172,11 +148,6 @@ def torsion_from_contorsion(tau: ContorsionTensor) -> TorsionTensor:
     if contorsion_from_torsion(t) != tau:
         raise ValueError("contorsion does not yield a totally antisymmetric torsion")
     return t
-
-
-def levi_civita_from_structure(c: FrameConnection) -> ContorsionTensor:
-    """Levi-Civita rotation coefficients omega_{ijk} = (c_{ijk} + c_{kij} + c_{kji}) / 2."""
-    return _half_cyclic_sum(c)
 
 
 @dataclass(frozen=True)
@@ -264,24 +235,16 @@ def first_order_symbol(dim: int, one, potential: Mapping[int, Multivector]) -> S
     return SymbolSum(dim, {1: deg1, 0: deg0})
 
 
-def dirac_symbol(t: TorsionTensor, dim: int,
-                 omega_jet: Optional[OmegaJet] = None) -> SymbolSum:
+def dirac_symbol(t: TorsionTensor, dim: int) -> SymbolSum:
     """Full symbol of D_T in normal coordinates at the base point.
 
     Degree 1: -g^j xi_j.  Degree 0: -i*kappa T_{jkl} g^j g^k g^l with
-    kappa = TORSION_KAPPA, plus the x-linear Levi-Civita part
-    -(i/4) omega_{jkl;s} g^j g^k g^l x_s when a connection jet is supplied (it
-    cannot change the residue; tests prove so).
+    kappa = TORSION_KAPPA, free of x.  An x-linear connection term cannot
+    change the residue; the tests build one with first_order_symbol and prove so.
     """
     if t.dim != dim:
         raise ValueError("torsion dimension mismatch")
     potential = {0: torsion_form_multivector(t).scale(qi(0, -TORSION_KAPPA))}
-    for (j, k, l, s), v in (omega_jet or {}).items():
-        if not all(1 <= x <= dim for x in (j, k, l, s)):
-            raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")
-        word = (Multivector.gamma(dim, j) * Multivector.gamma(dim, k)
-                * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * _frac(v))
-        potential[s] = potential.get(s, Multivector(dim)) + word
     return first_order_symbol(dim, QQi(Fraction(1)), potential)
 
 
@@ -403,14 +366,14 @@ def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
 
 
 def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
-                       dim: int, omega_jet: Optional[OmegaJet] = None) -> ResidueValue:
+                       dim: int) -> ResidueValue:
     """W(u^ v^ w^ D_T |D_T|^{-n}) as an exact density, full symbol pipeline."""
     if not (u.dim == v.dim == w.dim == t.dim == dim):
         raise ValueError("dimension mismatch among inputs")
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     return lead_residue(u.action() * v.action() * w.action(),
-                        _dirac_average(dirac_symbol(t, dim, omega_jet)))
+                        _dirac_average(dirac_symbol(t, dim)))
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:

@@ -5,13 +5,17 @@ JSON document in which each case carries its inputs inline, so the corpus reads
 back without `spectral_torsion.sampling`.  Exact scalars use the CLI's encoding
 (`{"re": [num, den], "im": [num, den]}`).  tests/test_golden.py recomputes every
 case and requires exact equality; the committed corpus changes only as a
-reviewed event, never to make that test pass.
+reviewed event, never to make that test pass.  The curvature jet and the
+functional with a connection jet come from the test oracle (tests/oracle.py);
+the script puts tests/ on the import path itself, so only `src` need be on
+PYTHONPATH.
 """
 from __future__ import annotations
 
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from spectral_torsion.almostcommutative import (DoubledOneForm, EymModel, MatrixOneForm,
                                                 DoubledEvaluator, eym_torsion_density)
@@ -19,9 +23,11 @@ from spectral_torsion.cli import scalar_json
 from spectral_torsion.sampling import (random_anti_hermitian_traceless, random_one_form,
                                        random_qqi, random_torsion, seeded)
 from spectral_torsion.scalars import qi
-from spectral_torsion.symcalc import CurvatureJet
 from spectral_torsion.torsion import (chirality_functional, metric_functional,
                                       torsion_functional, volume_functional)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from oracle import CurvatureJet, jet_torsion_functional  # noqa: E402
 
 SEED = 2023
 
@@ -71,7 +77,8 @@ def torsion_cases(rng) -> list:
                     "u": form(u), "v": form(v), "w": form(w)}
             if jet:
                 case["jet"] = [[list(k), rat(x)] for k, x in sorted(jet.items())]
-            case["value"] = value(torsion_functional(u, v, w, t, dim, jet))
+            case["value"] = value(jet_torsion_functional(u, v, w, t, dim, jet) if jet
+                                  else torsion_functional(u, v, w, t, dim))
             cases.append(case)
     return cases
 

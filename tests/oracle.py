@@ -9,28 +9,39 @@ polynomial zero test that decides whether two spellings of a symbol are the same
 function, the dense truncated quantum-disc representation, the grade law
 for the sphere average of a potential, the symbol of D |D|^{-n} composed
 in full (D^2, the odd-n power and D times the power by compose), and the lead
-residue with the whole lead composed."""
+residue with the whole lead composed.  It also holds the constructions only the
+tests build with: raw gamma words (GammaWord, canonicalize), frame structure
+constants (FrameConnection, levi_civita_from_structure), random contorsions,
+curvature jets (CurvatureJet) and the torsion functional of a Dirac symbol
+with an x-linear connection jet (jet_torsion_functional)."""
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from typing import Dict, Tuple
+from itertools import combinations, permutations
+from random import Random
+from typing import Dict, Mapping, Tuple
 
 import cmath
 import math
 
 import numpy as np
 
-from spectral_torsion import (EymModel, HomogeneousSymbol, MatrixOneForm, MatrixQQ,
-                              Multivector, OneForm, QQi, QuantumDiscElement,
+from spectral_torsion import (ContorsionTensor, EymModel, HomogeneousSymbol, MatrixOneForm,
+                              MatrixQQ, Multivector, OneForm, QQi, QuantumDiscElement,
                               ResidueValue, SymbolSum, TorsionTensor, TorusElement,
-                              clifford_trace, eym_dirac_symbol, moment, negative_power,
-                              parametrix, qi, reduce_word, sqrt_symbol)
+                              clifford_trace, eym_dirac_symbol, lead_residue, moment,
+                              negative_power, parametrix, qi, random_fraction, reduce_word,
+                              sqrt_symbol)
 from spectral_torsion.almostcommutative import _eym_lead
+from spectral_torsion.clifford import _check_indices
+from spectral_torsion.scalars import _frac
 from spectral_torsion.symcalc import (MINUS_I, TRACKED, _leading_scalar, compose, hs_dx,
                                       hs_dxi, hs_mul)
-from spectral_torsion.torsion import _zero_order_symbol, residue_of_symbol
+from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _Tensor3,
+                                      _zero_order_symbol, first_order_symbol,
+                                      residue_of_symbol, torsion_form_multivector)
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -299,7 +310,7 @@ def disc_represent(x: QuantumDiscElement, n_trunc: int) -> np.ndarray:
     entries inside the window are exactly those of the infinite representation.
     """
     q = x.q
-    big = n_trunc + x.total_degree() + 2
+    big = n_trunc + max((a + c for a, c in x.coeffs), default=0) + 2
     z_mat = np.zeros((big, big), dtype=complex)
     for k in range(big - 1):
         z_mat[k + 1, k] = math.sqrt(1.0 - q ** (2 * (k + 1)))
@@ -401,3 +412,153 @@ def eym_sigma_component(model: EymModel, u: MatrixOneForm, v: MatrixOneForm,
     term by term."""
     lead = _zero_order_symbol(_eym_lead(model, u, v, w))
     return compose(lead, dirac_power(eym_dirac_symbol(model))).component(-model.dim)
+
+
+# Constructions the tests build inputs and references with, which the package
+# itself never computes with: raw gamma words, frame structure constants,
+# random contorsions, curvature jets, and the Dirac symbol with an x-linear
+# connection jet.
+
+@dataclass(frozen=True)
+class GammaWord:
+    """A scalar multiple of a product g^{a_1} ... g^{a_k}, not yet reduced."""
+
+    indices: Tuple[int, ...]
+    scalar: QQi = field(default_factory=lambda: QQi(Fraction(1)))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "scalar", QQi.coerce(self.scalar))
+
+
+def canonicalize(word: GammaWord, dim: int) -> Multivector:
+    """Reduce a raw gamma word to canonical multivector form."""
+    _check_indices(word.indices, dim)
+    sign, canon = reduce_word(word.indices)
+    coeff = word.scalar if sign > 0 else -word.scalar
+    return Multivector(dim, {canon: coeff} if coeff else {})
+
+
+class FrameConnection(_Tensor3):
+    """Structure constants c_{ijk} of a frame: [e_i, e_j] = c_{ijk} e_k.
+
+    Antisymmetric in the first two indices; entries stored with i < j.
+    """
+
+    _ANTI = (0, 1)
+    _KEY_ERROR = "structure key {} must have 1 <= i < j <= {}"
+
+
+def _half_cyclic_sum(x) -> ContorsionTensor:
+    """(x_{ijk} + x_{kij} + x_{kji}) / 2 for a 3-tensor x with .dim and .get."""
+    entries: Dict[Tuple[int, int, int], Fraction] = {}
+    rng = range(1, x.dim + 1)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if j < k:
+                    v = (x.get(i, j, k) + x.get(k, i, j) + x.get(k, j, i)) / 2
+                    if v:
+                        entries[(i, j, k)] = v
+    return ContorsionTensor(x.dim, entries)
+
+
+def levi_civita_from_structure(c: FrameConnection) -> ContorsionTensor:
+    """Levi-Civita rotation coefficients omega_{ijk} = (c_{ijk} + c_{kij} + c_{kji}) / 2."""
+    return _half_cyclic_sum(c)
+
+
+def random_contorsion(rng: Random, dim: int, sparsity: float = 0.7) -> ContorsionTensor:
+    entries = {}
+    for i in range(1, dim + 1):
+        for j, k in combinations(range(1, dim + 1), 2):
+            if rng.random() < sparsity:
+                f = random_fraction(rng)
+                if f:
+                    entries[(i, j, k)] = f
+    return ContorsionTensor(dim, entries)
+
+
+class CurvatureJet:
+    """Normal-coordinate curvature data at the base point.
+
+    riemann maps (a,b,c,d) to exact rational R_{abcd}; entries not stored are
+    zero.  Validated: antisymmetry in (a,b) and (c,d), pair symmetry, first
+    Bianchi identity.  ricci is the (1,3) contraction Ric_{cd} = sum_a R_{acad}.
+    """
+
+    def __init__(self, dim: int, riemann: Mapping[Tuple[int, int, int, int], Fraction]):
+        self.dim = dim
+        R: Dict[Tuple[int, int, int, int], Fraction] = {}
+        for key, val in riemann.items():
+            if len(key) != 4 or not all(1 <= i <= dim for i in key):
+                raise ValueError(f"bad riemann index {key}")
+            v = _frac(val)
+            if v:
+                R[key] = v
+        self.riemann = R
+        self._validate()
+
+    def r(self, a: int, b: int, c: int, d: int) -> Fraction:
+        return self.riemann.get((a, b, c, d), Fraction(0))
+
+    def _validate(self) -> None:
+        rng = range(1, self.dim + 1)
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    for d in rng:
+                        v = self.r(a, b, c, d)
+                        if v != -self.r(b, a, c, d):
+                            raise ValueError("riemann not antisymmetric in first pair")
+                        if v != -self.r(a, b, d, c):
+                            raise ValueError("riemann not antisymmetric in second pair")
+                        if v != self.r(c, d, a, b):
+                            raise ValueError("riemann not pair symmetric")
+                        bianchi = v + self.r(a, c, d, b) + self.r(a, d, b, c)
+                        if bianchi:
+                            raise ValueError("riemann violates first Bianchi identity")
+
+    def ricci(self, c: int, d: int) -> Fraction:
+        return sum((self.r(a, c, a, d) for a in range(1, self.dim + 1)), Fraction(0))
+
+    def spin_connection_linear(self) -> Dict[Tuple[int, int, int, int], Fraction]:
+        """omega_{jkl}(x) = sum_s w[(j,k,l,s)] x_s, one standard normal-coordinate jet."""
+        out: Dict[Tuple[int, int, int, int], Fraction] = {}
+        for (a, b, c, d), v in self.riemann.items():
+            # omega_{j k l ; s} = -1/2 R_{k l j s}
+            key = (c, a, b, d)
+            out[key] = out.get(key, Fraction(0)) - v / 2
+        return {k: v for k, v in out.items() if v}
+
+
+def connection_jet_potential(dim: int, omega_jet: Mapping[Tuple[int, int, int, int], Fraction]
+                             ) -> Dict[int, Multivector]:
+    """The x-linear Levi-Civita part -(i/4) omega_{jkl;s} g^j g^k g^l x_s of the
+    Dirac symbol, as first_order_symbol's potential: s -> the coefficient of x_s.
+    Rejects an index outside 1..dim and a value that is not an exact rational."""
+    potential: Dict[int, Multivector] = {}
+    for (j, k, l, s), v in omega_jet.items():
+        if not all(1 <= x <= dim for x in (j, k, l, s)):
+            raise ValueError(f"connection jet index {(j, k, l, s)} outside 1..{dim}")
+        word = (Multivector.gamma(dim, j) * Multivector.gamma(dim, k)
+                * Multivector.gamma(dim, l)).scale(qi(0, Fraction(-1, 4)) * _frac(v))
+        potential[s] = potential.get(s, Multivector(dim)) + word
+    return potential
+
+
+def jet_dirac_symbol(t: TorsionTensor, dim: int,
+                     omega_jet: Mapping[Tuple[int, int, int, int], Fraction]) -> SymbolSum:
+    """dirac_symbol(t, dim) with the connection jet's x-linear terms added."""
+    potential = {0: torsion_form_multivector(t).scale(qi(0, -TORSION_KAPPA)),
+                 **connection_jet_potential(dim, omega_jet)}
+    return first_order_symbol(dim, QQi(Fraction(1)), potential)
+
+
+def jet_torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor, dim: int,
+                           omega_jet: Mapping[Tuple[int, int, int, int], Fraction]
+                           ) -> ResidueValue:
+    """W(u^ v^ w^ D |D|^{-n}) for D = jet_dirac_symbol(t, dim, omega_jet), by the
+    package's residue path."""
+    return lead_residue(u.action() * v.action() * w.action(),
+                        _dirac_average(jet_dirac_symbol(t, dim, omega_jet)))

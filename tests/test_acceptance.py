@@ -18,7 +18,6 @@ from spectral_torsion import (
     DoubledEvaluator,
     DoubledOneForm,
     EymModel,
-    GammaWord,
     MatrixOneForm,
     MatrixQQ,
     OneForm,
@@ -27,7 +26,6 @@ from spectral_torsion import (
     Suq2DiracSpec,
     TorsionTensor,
     adjoint_trace,
-    canonicalize,
     clifford_trace,
     closed_form_torsion,
     doubled_torsion_free_test,
@@ -49,8 +47,8 @@ from spectral_torsion import (
     volume_functional,
     zstar_z,
 )
-from oracle import (mc_sphere_average, multivector_matrix, perturbation_residue,
-                    sphere_batch, word_matrix)
+from oracle import (GammaWord, canonicalize, mc_sphere_average, multivector_matrix,
+                    perturbation_residue, sphere_batch, word_matrix)
 from test_clifford import _random_multivector
 
 

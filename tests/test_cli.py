@@ -687,20 +687,43 @@ class TestReportPlumbing:
             main(["examples", "unknown-model"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, verdict", [
+        (["examples", "doubled", "--dims", "4", "--phi", "1+2i"], 0),
+        (["verify", "--dims", "3", "--trials", "2"], 1),  # criterion 01's constant
+    ], ids=["doubled", "verify"])
+    def test_closed_stdout_keeps_the_verdict(self, argv, verdict):
+        # the reader is closed before the child starts, so the report write
+        # meets a broken pipe: that is no internal error (3), and nothing is
+        # printed at shutdown either
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-c", CLI_MAIN, *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=standalone_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (verdict, b"")
+
+
+CLI_MAIN = "import sys; from spectral_torsion.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def standalone_env() -> dict:
+    """The environment with src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
 
 def standalone_python(code: str, *argv):
     """(exit code, stdout, stderr) of a fresh interpreter running code."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=standalone_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def standalone(*argv):
     """(exit code, stdout, stderr) of the CLI call made in a process of its own."""
-    return standalone_python(
-        "import sys; from spectral_torsion.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    return standalone_python(CLI_MAIN, *argv)
 
 
 def unmask(text: str) -> dict:

