@@ -11,8 +11,9 @@ Two-sheeted space: H + H with D_doubled = [[D, chi Phi], [chi Phi*, D]] for a
 complex parameter Phi and chi the chirality of the even base.  One-forms are
 2x2 blocks [[w+, Phi chi f+], [Phi* chi f-, w-]]; block products are simplified
 in the Clifford algebra before any trace, so every diagonal/off-diagonal
-parity pattern is handled uniformly and routes to the torsion-free pipeline
-(D-coefficient part, spectrally closed, exactly 0) plus a zero-order residue.
+parity pattern is handled uniformly.  The diagonal blocks of the lead meet D,
+which is spectrally closed (exactly 0), so only the off-diagonal blocks are
+formed, and each gives a residue against chi |D|^{-n}.
 """
 from __future__ import annotations
 
@@ -167,28 +168,23 @@ class DoubledOneForm:
         return DoubledOneForm(dim, zero, zero, fplus, fminus, phi)
 
 
-def _block_product(a, b, dim: int) -> List[List[Multivector]]:
-    """The 2x2 block product a b; most blocks of a spanning scan are empty, and a
-    pair holding one is skipped rather than multiplied."""
-    def entry(i: int, j: int) -> Multivector:
-        parts = [a[i][k] * b[k][j] for k in (0, 1) if a[i][k] and b[k][j]]
-        if not parts:
-            return Multivector(dim)
-        return parts[0] if len(parts) == 1 else parts[0] + parts[1]
-    return [[entry(i, j) for j in (0, 1)] for i in (0, 1)]
+def _block_entry(a, b, i: int, j: int, dim: int) -> Multivector:
+    """Block (i, j) of the 2x2 block product a b; most blocks of a spanning scan
+    are empty, and a pair holding one is skipped rather than multiplied."""
+    parts = [a[i][k] * b[k][j] for k in (0, 1) if a[i][k] and b[k][j]]
+    if not parts:
+        return Multivector(dim)
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
 class DoubledEvaluator:
-    """Caches the sphere-averaged torsion-free base symbols for repeated doubled residues."""
+    """Caches the sphere-averaged base symbol chi |D|^{-n} for repeated doubled residues."""
 
     def __init__(self, dim: int):
         if dim % 2 or dim < 2:
             raise ValueError("even base dimension required")
         self.dim = dim
-        d = dirac_symbol(TorsionTensor.zero(dim), dim)
-        power = inverse_power_symbol(d)
-        # a diagonal block of the lead meets D |D|^{-n}, an off-diagonal one chi |D|^{-n}
-        self.d_power = sphere_average(d, power)
+        power = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
         self.chi_power = sphere_average(_zero_order_symbol(chirality(dim)), power)
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
@@ -197,22 +193,28 @@ class DoubledEvaluator:
 
         |D_doubled|^{-n} differs from |D|^{-n} (x) 1 only below the tracked degrees
         (D_doubled^2 = D^2 + |Phi|^2 adds a degree-0 term, first visible at degree
-        -n-2), so the base-space power symbol is exact here.
+        -n-2), so the base-space power symbol is exact here.  With P = o1 o2 o3,
+        (P D_doubled)_{ii} = P_{ii} D + P_{i,other} chi Phi^{(*)}.  The diagonal
+        leg W(P_{ii} D |D|^{-n}) is zero for every P_{ii}: the torsion-free D is
+        spectrally closed, as the sphere average of D |D|^{-n} is empty.  So only
+        the two off-diagonal blocks of P are formed, each as at most two block
+        products of o1 o2 with o3.
         """
         if not (o1.dim == o2.dim == o3.dim == self.dim):
             raise ValueError("dimension mismatch among inputs")
         if not (o1.phi == o2.phi == o3.phi):
             raise ValueError("one-forms built over different Phi")
-        phi = o1.phi
-        p12 = _block_product(o1.blocks, o2.blocks, self.dim)
-        p = _block_product(p12, o3.blocks, self.dim)
-        total = ResidueValue(QQi(), self.dim)
-        # (P D_doubled)_{ii} = P_{ii} D + P_{i,other} chi Phi^{(*)}
+        phi, dim = o1.phi, self.dim
+        b1, b2, b3 = o1.blocks, o2.blocks, o3.blocks
+        total = ResidueValue(QQi(), dim)
         for i, phase in ((0, phi.conj()), (1, phi)):
-            for lead, averaged in ((p[i][i], self.d_power),
-                                   (p[i][1 - i].scale(phase), self.chi_power)):
-                if lead:
-                    total = total + lead_residue(lead, averaged)
+            j = 1 - i
+            # row i of o1 o2, formed only where it meets a nonempty block of o3
+            row = [_block_entry(b1, b2, i, k, dim) if b3[k][j] else Multivector(dim)
+                   for k in (0, 1)]
+            lead = _block_entry((row,), b3, 0, j, dim).scale(phase)
+            if lead:
+                total = total + lead_residue(lead, self.chi_power)
         return total
 
 

@@ -21,17 +21,20 @@ one closed-form power of it to |D|^{-n}; sphere_average integrates the
 degree -n part of D |D|^{-n} over the sphere in one pass from the two factors
 (symcalc.integrate_product), without composing them; lead_residue cuts the
 lead to the words the average holds, the only ones the trace can read,
-multiplies and traces.
+multiplies and traces.  torsion_functional forms its lead u^ v^ w^ only on
+those words, from 3x3 minors (and, for grade 1, dot products) of the one-forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, Mapping, Tuple
+from math import lcm
+from operator import mul
+from typing import ClassVar, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
                        trace_power)
-from .scalars import QQi, ScalarLike, _frac, qi
+from .scalars import QQi, ScalarLike, _frac, _reduced, qi
 from .symcalc import (HomogeneousSymbol, SymbolSum, _check_tracked, compose,
                       integrate_product, negative_power, sphere_integrate, sphere_volume,
                       sqrt_symbol)
@@ -344,6 +347,11 @@ def _dirac_average(d: SymbolSum) -> SymbolSum:
     return sphere_average(d, inverse_power_symbol(d))
 
 
+def _held_words(averaged: SymbolSum) -> Set[Tuple[int, ...]]:
+    """The words held by some term of any part of averaged."""
+    return {w for h in averaged.parts.values() for mv in h.terms.values() for w in mv.terms}
+
+
 def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     """W(P a b) for a constant zero-order lead P, given averaged = sphere_average(a, b).
 
@@ -357,7 +365,7 @@ def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     perfbench's tracer times the lead step only as a compose whose left
     factor is a nonempty zero-order symbol.
     """
-    held = {w for h in averaged.parts.values() for mv in h.terms.values() for w in mv.terms}
+    held = _held_words(averaged)
     if held:
         cut = Multivector(lead.dim)
         cut.terms = {w: c for w, c in lead.terms.items() if w in held}
@@ -365,28 +373,77 @@ def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     return residue_of_symbol(compose(_zero_order_symbol(lead), averaged), averaged.dim)
 
 
+def _integer_parts(f: OneForm) -> Tuple[int, List[Tuple[int, List[int]]]]:
+    """(den, parts): den is the common denominator of f's components, and parts
+    lists (k, vector) for the integer numerator vectors re (k = 0) and im
+    (k = 1) with f = (re + i im) / den, leaving out a vector of zeros.  Each
+    vector is padded with a zero at index 0, so a gamma index reads it directly."""
+    den = lcm(*(c._d for c in f.components))
+    re = [0] + [c._a * (den // c._d) for c in f.components]
+    im = [0] + [c._b * (den // c._d) for c in f.components]
+    return den, [(k, part) for k, part in ((0, re), (1, im)) if any(part)]
+
+
+def _lead_on_words(u: OneForm, v: OneForm, w: OneForm,
+                   words: Iterable[Tuple[int, ...]]) -> Multivector:
+    """The terms of u^ v^ w^ on the given canonical words, formed from the
+    one-forms without a Clifford product.
+
+    u v w = u^v^w + (u.v) w - (u.w) v + (v.w) u, so the coefficient of g^abc
+    (a < b < c) is the 3x3 minor of (u, v, w) on rows a, b, c, that of g^a is
+    (u.v) w_a - (u.w) v_a + (v.w) u_a, and u v w holds no word of another
+    grade.  Both coefficients are trilinear: each is summed over the real and
+    imaginary integer parts of the three forms (_integer_parts) with the
+    matching power of i, and reduced once over the three denominators.
+    """
+    triples = [word for word in words if len(word) == 3]
+    singles = [word for word in words if len(word) == 1]
+    (du, us), (dv, vs), (dw, ws) = _integer_parts(u), _integer_parts(v), _integer_parts(w)
+    acc = {word: [0, 0] for word in triples + singles}
+    for ku, x in us:
+        for kv, y in vs:
+            for kw, z in ws:
+                k = ku + kv + kw
+                slot, sign = k % 2, (1 if k < 2 else -1)   # i^k
+                for word in triples:
+                    a, b, c = word
+                    acc[word][slot] += sign * (x[a] * (y[b] * z[c] - y[c] * z[b])
+                                               - x[b] * (y[a] * z[c] - y[c] * z[a])
+                                               + x[c] * (y[a] * z[b] - y[b] * z[a]))
+                if singles:
+                    xy, xz, yz = sum(map(mul, x, y)), sum(map(mul, x, z)), sum(map(mul, y, z))
+                    for word in singles:
+                        (a,) = word
+                        acc[word][slot] += sign * (xy * z[a] - xz * y[a] + yz * x[a])
+    den = du * dv * dw
+    out = Multivector(u.dim)
+    out.terms = {word: _reduced(re, im, den) for word, (re, im) in acc.items() if re or im}
+    return out
+
+
 def torsion_functional(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor,
                        dim: int) -> ResidueValue:
-    """W(u^ v^ w^ D_T |D_T|^{-n}) as an exact density, full symbol pipeline."""
+    """W(u^ v^ w^ D_T |D_T|^{-n}) as an exact density, full symbol pipeline.
+
+    The lead is formed only on the words the averaged symbol holds
+    (_lead_on_words), the only ones lead_residue keeps."""
     if not (u.dim == v.dim == w.dim == t.dim == dim):
         raise ValueError("dimension mismatch among inputs")
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    return lead_residue(u.action() * v.action() * w.action(),
-                        _dirac_average(dirac_symbol(t, dim)))
+    averaged = _dirac_average(dirac_symbol(t, dim))
+    return lead_residue(_lead_on_words(u, v, w, _held_words(averaged)), averaged)
 
 
 def torsion_contraction(u: OneForm, v: OneForm, w: OneForm, t: TorsionTensor) -> QQi:
     """sum_{abc} u_a v_b w_c T_{abc}, exact: by total antisymmetry, the sum over the
-    stored a < b < c of T_abc times the 3x3 minor of (u, v, w) on rows a, b, c."""
+    stored a < b < c of T_abc times the 3x3 minor of (u, v, w) on rows a, b, c,
+    which is the coefficient of g^abc in u v w (_lead_on_words)."""
+    minors = _lead_on_words(u, v, w, t.entries).terms
     out = QQi()
-    for (a, b, c), tv in t.entries.items():
-        ua, ub, uc = (u.components[i - 1] for i in (a, b, c))
-        va, vb, vc = (v.components[i - 1] for i in (a, b, c))
-        wa, wb, wc = (w.components[i - 1] for i in (a, b, c))
-        minor = (ua * (vb * wc - vc * wb) - ub * (va * wc - vc * wa)
-                 + uc * (va * wb - vb * wa))
-        out = out + minor * tv
+    for abc, tv in t.entries.items():
+        if abc in minors:
+            out = out + minors[abc] * tv
     return out
 
 

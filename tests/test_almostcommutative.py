@@ -18,7 +18,7 @@ from spectral_torsion.sampling import (random_anti_hermitian_traceless,
                                        random_one_form, random_qqi)
 from spectral_torsion.symcalc import compose, negative_power
 from spectral_torsion.torsion import (TorsionTensor, _zero_order_symbol,
-                                      dirac_symbol, lead_residue,
+                                      dirac_symbol, inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average)
 
 from oracle import dense_matrix_product, eym_sigma_component, hs_is_zero
@@ -234,32 +234,42 @@ class TestDoubled:
         assert got == split
 
     def test_scan_row_matches_composed_reference(self):
-        # one n=4 scan row, each residue against the block leads composed with
-        # the full base symbols: (P D_doubled)_{ii} = P_ii D + P_{i,other} chi Phi^(*)
-        dim = 4
-        phi = qi(1, 2)
-        span = doubled_spanning_forms(dim, phi)
+        # full spanning scans at n = 2 and 4, at phi = 0 and a drawn phi, each
+        # residue against all four block legs composed with the full base
+        # symbols: (P D_doubled)_{ii} = P_ii D + P_{i,other} chi Phi^(*)
+        for dim in (2, 4):
+            d = dirac_symbol(TorsionTensor.zero(dim), dim)
+            power = negative_power(compose(d, d), dim // 2)
+            d_power = compose(d, power)
+            chi = chirality(dim)
+            ev = DoubledEvaluator(dim)
+            for phi in (qi(0), random_qqi(Random(34 + dim), nonzero=True)):
+                span = doubled_spanning_forms(dim, phi)
+                nonzero = 0
+                for o1 in span:
+                    for o2 in span:
+                        for o3 in span:
+                            b1, b2, b3 = o1.blocks, o2.blocks, o3.blocks
+                            p = [[sum((b1[i][k] * b2[k][l] * b3[l][j]
+                                       for k in (0, 1) for l in (0, 1)), Multivector(dim))
+                                  for j in (0, 1)] for i in (0, 1)]
+                            want = ResidueValue(qi(0), dim)
+                            for i, phase in ((0, phi.conj()), (1, phi)):
+                                want = want + residue_of_symbol(
+                                    compose(_zero_order_symbol(p[i][i]), d_power), dim)
+                                want = want + residue_of_symbol(compose(
+                                    _zero_order_symbol(p[i][1 - i] * chi.scale(phase)),
+                                    power), dim)
+                            assert ev.residue(o1, o2, o3) == want
+                            nonzero += not want.is_zero()
+                assert bool(nonzero) == bool(phi)
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_dropped_leg_average_is_empty(self, dim):
+        # the residue forms no diagonal leg: D |D|^{-n} of the torsion-free D
+        # averages to nothing over the sphere (spectral closedness)
         d = dirac_symbol(TorsionTensor.zero(dim), dim)
-        power = negative_power(compose(d, d), dim // 2)
-        d_power = compose(d, power)
-        chi = chirality(dim)
-        ev = DoubledEvaluator(dim)
-        o1 = span[-2]
-        nonzero = 0
-        for o2 in span:
-            for o3 in span:
-                b1, b2, b3 = o1.blocks, o2.blocks, o3.blocks
-                p = [[sum((b1[i][k] * b2[k][l] * b3[l][j] for k in (0, 1) for l in (0, 1)),
-                          Multivector(dim)) for j in (0, 1)] for i in (0, 1)]
-                want = ResidueValue(qi(0), dim)
-                for i, phase in ((0, phi.conj()), (1, phi)):
-                    want = want + residue_of_symbol(
-                        compose(_zero_order_symbol(p[i][i]), d_power), dim)
-                    want = want + residue_of_symbol(compose(
-                        _zero_order_symbol(p[i][1 - i] * chi.scale(phase)), power), dim)
-                assert ev.residue(o1, o2, o3) == want
-                nonzero += not want.is_zero()
-        assert nonzero
+        assert not sphere_average(d, inverse_power_symbol(d)).parts
 
     def test_residue_multiplies_only_nonempty_blocks(self, monkeypatch):
         # most block pairs of a spanning scan hold an empty block; forming their

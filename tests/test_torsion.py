@@ -6,6 +6,8 @@ from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_torsion import (ContorsionTensor, EymModel, HomogeneousSymbol, MatrixQQ,
                               Multivector, OneForm, QQi, ResidueValue, SymbolSum,
@@ -20,6 +22,7 @@ from spectral_torsion.sampling import (random_anti_hermitian_traceless, random_f
                                        random_one_form, random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose, integrate_product, sphere_integrate
 from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _dirac_square,
+                                      _lead_on_words,
                                       _zero_order_symbol, dirac_symbol,
                                       first_order_symbol, inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
@@ -647,6 +650,75 @@ class TestLeadCut:
         monkeypatch.setattr(Multivector, "__mul__", spy)
         assert lead_residue(lead, averaged) == want
         assert pairs == [dim * dim]
+
+
+@st.composite
+def _forms_and_words(draw):
+    """Three one-forms with complex components over mixed denominators, zeros
+    included, and a set of canonical words of grades 0..4."""
+    dim = draw(st.integers(3, 10))
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6, 9)))
+    comp = st.one_of(st.just(QQi()), st.builds(QQi, part), st.builds(QQi, part, part))
+    forms = [OneForm(dim, tuple(draw(st.lists(comp, min_size=dim, max_size=dim))))
+             for _ in range(3)]
+    words = set()
+    for k in range(min(dim, 4) + 1):
+        words |= draw(st.sets(st.sampled_from(list(combinations(range(1, dim + 1), k))),
+                              max_size=12))
+    return forms, words
+
+
+class TestLeadOnWords:
+    """torsion_functional forms the lead u v w only on the words the average
+    holds, from minors and dot products of the one-forms."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_forms_and_words())
+    def test_matches_the_product_on_the_words(self, case):
+        (u, v, w), words = case
+        full = u.action() * v.action() * w.action()
+        got = _lead_on_words(u, v, w, words)
+        assert got.dim == u.dim
+        assert got.terms == {word: c for word, c in full.terms.items() if word in words}
+
+    @pytest.mark.parametrize("dim", range(3, 11))
+    def test_grade_one_and_three_words_give_the_whole_product(self, dim):
+        # the grade-1 words never meet the torsion average (c1 = 0), so they
+        # are checked here: on every word of grade 1 and 3 the lead is u v w
+        rng = Random(1920 + dim)
+        words = [w for k in (1, 3) for w in combinations(range(1, dim + 1), k)]
+        for _ in range(3):
+            u, v, w = (OneForm(dim, tuple(random_qqi(rng) for _ in range(dim)))
+                       for _ in range(3))
+            full = u.action() * v.action() * w.action()
+            assert any(len(word) == 1 for word in full.terms)
+            assert _lead_on_words(u, v, w, words) == full
+
+    def test_band_call_forms_no_one_form_product(self, monkeypatch):
+        # an n = 8 cyclic-band call: the 16 products of the square and the
+        # average (one gamma times the 3 band words holding it) and one 8 x 8
+        # lead compose, and no product with a one-form action as a factor
+        dim = 8
+        rng = Random(1950)
+        band = {tuple(sorted((a + k) % dim + 1 for k in range(3))) for a in range(dim)}
+        t = TorsionTensor(dim, {abc: random_fraction(rng, nonzero=True) for abc in band})
+        u, v, w = (OneForm(dim, tuple(random_fraction(rng, nonzero=True) for _ in range(dim)))
+                   for _ in range(3))
+        actions = [f.action() for f in (u, v, w)]
+        want = reference_lead_residue(actions[0] * actions[1] * actions[2],
+                                      _dirac_average(dirac_symbol(t, dim)))
+        assert not want.is_zero()
+        mul, pairs, factors = Multivector.__mul__, [], []
+
+        def spy(a, b):
+            if isinstance(b, Multivector):
+                pairs.append((len(a.terms), len(b.terms)))
+                factors.extend((a, b))
+            return mul(a, b)
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        assert torsion_functional(u, v, w, t, dim) == want
+        assert pairs == [(1, 3)] * 16 + [(dim, dim)]
+        assert not [f for f in factors if f in actions]
 
 
 class TestKernels:
