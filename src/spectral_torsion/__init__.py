@@ -18,10 +18,10 @@ from .torsion import (ContorsionTensor, OneForm, ResidueValue, TorsionTensor,
                       chirality_functional, closed_form_torsion,
                       contorsion_from_torsion, dirac_symbol,
                       inverse_power_symbol, lead_residue, metric_functional,
-                      pipeline_coefficient, residue_of_symbol,
-                      spectral_closedness_check, sphere_average,
-                      torsion_contraction, torsion_from_contorsion,
-                      torsion_functional, volume_functional)
+                      pipeline_coefficient, spectral_closedness_check,
+                      sphere_average, torsion_contraction,
+                      torsion_from_contorsion, torsion_functional,
+                      volume_functional)
 from .almostcommutative import (DoubledEvaluator, DoubledOneForm, EymModel,
                                 MatrixOneForm, adjoint_matrix, adjoint_trace,
                                 doubled_spanning_forms, doubled_torsion_free_test,
@@ -54,7 +54,7 @@ __all__ = [
     "parse_complex_rational", "parse_rational", "pipeline_coefficient", "qi",
     "random_anti_hermitian_traceless", "random_fraction", "random_one_form",
     "random_qqi", "random_theta", "random_torsion", "random_torus_h",
-    "reduce_word", "residue_of_symbol", "seeded", "spectral_closedness_check",
+    "reduce_word", "seeded", "spectral_closedness_check",
     "sphere_average", "sphere_integrate", "sphere_volume", "sqrt_symbol",
     "suq2_paired_combination", "suq2_residue_cancellation", "tau1",
     "torsion_contraction", "torsion_from_contorsion", "torsion_functional",

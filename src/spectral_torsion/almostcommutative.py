@@ -24,9 +24,8 @@ from .clifford import Multivector, chirality, clifford_action
 from .matrices import MatrixQQ
 from .scalars import QQi, ScalarLike, qi
 from .symcalc import SymbolSum
-from .torsion import (OneForm, ResidueValue, TorsionTensor, _dirac_average,
-                      _zero_order_symbol, dirac_symbol, first_order_symbol,
-                      inverse_power_symbol, lead_residue, sphere_average)
+from .torsion import (OneForm, ResidueValue, _dirac_average, _free_average,
+                      first_order_symbol, lead_residue)
 
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
@@ -184,8 +183,7 @@ class DoubledEvaluator:
         if dim % 2 or dim < 2:
             raise ValueError("even base dimension required")
         self.dim = dim
-        power = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
-        self.chi_power = sphere_average(_zero_order_symbol(chirality(dim)), power)
+        self.chi_power = _free_average(chirality(dim))
 
     def residue(self, o1: DoubledOneForm, o2: DoubledOneForm,
                 o3: DoubledOneForm) -> ResidueValue:

@@ -19,17 +19,17 @@ with a curvature jet of their own.
 The pipeline: inverse_power_symbol writes D^2 down from that symbol and takes
 one closed-form power of it to |D|^{-n}; sphere_average integrates the
 degree -n part of D |D|^{-n} over the sphere in one pass from the two factors
-(symcalc.integrate_product), without composing them; lead_residue cuts the
-lead to the words the average holds, the only ones the trace can read,
-multiplies and traces.  torsion_functional forms its lead u^ v^ w^ only on
-those words, from 3x3 minors (and, for grade 1, dot products) of the one-forms.
+(symcalc.integrate_product), without composing them; lead_residue checks its
+window, cuts the lead to the words the average holds, the only ones the trace
+can read, multiplies and traces.  torsion_functional forms its lead u^ v^ w^
+only on those words, all of grade 3 (the grade law), from 3x3 minors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from operator import mul
 from typing import ClassVar, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
@@ -121,33 +121,15 @@ def contorsion_from_torsion(t: TorsionTensor) -> ContorsionTensor:
     return ContorsionTensor(t.dim, entries)
 
 
-def torsion_components_from_contorsion(tau: ContorsionTensor) -> Dict[Tuple[int, int, int], Fraction]:
-    """All components of T_{ijk} = tau_{ijk} - tau_{jik}.
-
-    The result is antisymmetric in the first two indices for every admissible
-    tau; it is totally antisymmetric exactly when tau arises from a totally
-    antisymmetric torsion.
-    """
-    out: Dict[Tuple[int, int, int], Fraction] = {}
-    rng = range(1, tau.dim + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                v = tau.get(i, j, k) - tau.get(j, i, k)
-                if v:
-                    out[(i, j, k)] = v
-    return out
-
-
 def torsion_from_contorsion(tau: ContorsionTensor) -> TorsionTensor:
     """Recover the totally antisymmetric torsion; rejects contorsions that
     do not come from one.
 
     The half-cyclic sum inverts T_{ijk} = tau_{ijk} - tau_{jik} on tensors
-    antisymmetric in one index pair, so the strictly increasing components
-    give the only candidate, and tau is accepted exactly when it maps back."""
-    comp = torsion_components_from_contorsion(tau)
-    t = TorsionTensor(tau.dim, {key: v for key, v in comp.items() if key[0] < key[1] < key[2]})
+    antisymmetric in one index pair, so T_abc = tau_abc - tau_bac on the keys
+    a < b < c is the only candidate, and tau is accepted exactly when it maps back."""
+    t = TorsionTensor(tau.dim, {(a, b, c): tau.get(a, b, c) - tau.get(b, a, c)
+                                for a, b, c in combinations(range(1, tau.dim + 1), 3)})
     if contorsion_from_torsion(t) != tau:
         raise ValueError("contorsion does not yield a totally antisymmetric torsion")
     return t
@@ -318,10 +300,9 @@ def _zero_order_symbol(mv: Multivector) -> SymbolSum:
 
 
 def residue_of_symbol(sym: SymbolSum, dim: int) -> ResidueValue:
-    """Wodzicki residue density of an order >= -n symbol: integrate and trace
-    the degree -n component.  Rejects symbols whose tracked window misses -n."""
-    if sym.parts:
-        _check_tracked(sym.leading_degree, -dim)
+    """Wodzicki residue density: integrate and trace the degree -n component.
+    No window check: a product whose top degree cancelled no longer shows the
+    degree compose computed it from, so lead_residue checks the factors."""
     mult = clifford_trace(sphere_integrate(sym.component(-dim)))
     if not isinstance(mult, QQi):
         raise TypeError("residue trace did not reduce to a scalar")
@@ -355,7 +336,9 @@ def _held_words(averaged: SymbolSum) -> Set[Tuple[int, ...]]:
 def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     """W(P a b) for a constant zero-order lead P, given averaged = sphere_average(a, b).
 
-    P is cut to the words that some term of averaged holds before it is
+    Rejects an averaged whose tracked window misses -n, which for a degree-0 P
+    is the product's window (integrate_product checks its factors alike).  P
+    is cut to the words that some term of averaged holds before it is
     composed.  This is exact: P is free of xi and x, so each term of the
     product is P times a term of averaged, and the trace reads only the unit
     word, which two canonical words reach only when they are equal.  The cut
@@ -365,6 +348,8 @@ def lead_residue(lead: Multivector, averaged: SymbolSum) -> ResidueValue:
     perfbench's tracer times the lead step only as a compose whose left
     factor is a nonempty zero-order symbol.
     """
+    if averaged.parts:
+        _check_tracked(averaged.leading_degree, -averaged.dim)
     held = _held_words(averaged)
     if held:
         cut = Multivector(lead.dim)
@@ -386,35 +371,29 @@ def _integer_parts(f: OneForm) -> Tuple[int, List[Tuple[int, List[int]]]]:
 
 def _lead_on_words(u: OneForm, v: OneForm, w: OneForm,
                    words: Iterable[Tuple[int, ...]]) -> Multivector:
-    """The terms of u^ v^ w^ on the given canonical words, formed from the
-    one-forms without a Clifford product.
+    """The terms of u^ v^ w^ on the given canonical words of grade 3, formed
+    from the one-forms without a Clifford product; other grades are refused.
 
-    u v w = u^v^w + (u.v) w - (u.w) v + (v.w) u, so the coefficient of g^abc
-    (a < b < c) is the 3x3 minor of (u, v, w) on rows a, b, c, that of g^a is
-    (u.v) w_a - (u.w) v_a + (v.w) u_a, and u v w holds no word of another
-    grade.  Both coefficients are trilinear: each is summed over the real and
-    imaginary integer parts of the three forms (_integer_parts) with the
-    matching power of i, and reduced once over the three denominators.
+    The coefficient of g^abc (a < b < c) in u v w is the 3x3 minor of
+    (u, v, w) on rows a, b, c.  No other grade is read: the average of a
+    potential of grades 1 and 3 holds grade 3 only (the grade law: c_1 = 0).
+    The minor is trilinear: it is summed over the real and imaginary integer
+    parts of the three forms (_integer_parts) with the matching power of i,
+    and reduced once over the three denominators.
     """
-    triples = [word for word in words if len(word) == 3]
-    singles = [word for word in words if len(word) == 1]
+    acc = {word: [0, 0] for word in words}
+    if any(len(word) != 3 for word in acc):
+        raise ValueError("the lead is formed on grade-3 words only")
     (du, us), (dv, vs), (dw, ws) = _integer_parts(u), _integer_parts(v), _integer_parts(w)
-    acc = {word: [0, 0] for word in triples + singles}
     for ku, x in us:
         for kv, y in vs:
             for kw, z in ws:
                 k = ku + kv + kw
                 slot, sign = k % 2, (1 if k < 2 else -1)   # i^k
-                for word in triples:
-                    a, b, c = word
-                    acc[word][slot] += sign * (x[a] * (y[b] * z[c] - y[c] * z[b])
-                                               - x[b] * (y[a] * z[c] - y[c] * z[a])
-                                               + x[c] * (y[a] * z[b] - y[b] * z[a]))
-                if singles:
-                    xy, xz, yz = sum(map(mul, x, y)), sum(map(mul, x, z)), sum(map(mul, y, z))
-                    for word in singles:
-                        (a,) = word
-                        acc[word][slot] += sign * (xy * z[a] - xz * y[a] + yz * x[a])
+                for (a, b, c), parts in acc.items():
+                    parts[slot] += sign * (x[a] * (y[b] * z[c] - y[c] * z[b])
+                                           - x[b] * (y[a] * z[c] - y[c] * z[a])
+                                           + x[c] * (y[a] * z[b] - y[b] * z[a]))
     den = du * dv * dw
     out = Multivector(u.dim)
     out.terms = {word: _reduced(re, im, den) for word, (re, im) in acc.items() if re or im}
@@ -469,26 +448,22 @@ def pipeline_coefficient(dim: int) -> QQi:
     return qi(0, Fraction(-3 * 2 ** (trace_power(dim) - 1)))
 
 
-def chirality_functional(u: OneForm, t: TorsionTensor, dim: int = 4) -> ResidueValue:
+def chirality_functional(u: OneForm, t: TorsionTensor) -> ResidueValue:
     """W(chi u^ D_T |D_T|^{-4}) with chi the chirality element; n = 4 only."""
-    if dim != 4:
-        raise ValueError("chirality functional is defined for n = 4")
     if u.dim != 4 or t.dim != 4:
-        raise ValueError("dimension mismatch among inputs")
-    return lead_residue(chirality(dim) * u.action(), _dirac_average(dirac_symbol(t, dim)))
+        raise ValueError("chirality functional is defined for n = 4")
+    return lead_residue(chirality(4) * u.action(), _dirac_average(dirac_symbol(t, 4)))
 
 
-def spectral_closedness_check(p: Multivector, dim: int) -> ResidueValue:
-    """W(P D |D|^{-n}) for a zero-order P and the torsion-free D; exactly 0."""
-    if p.dim != dim:
-        raise ValueError("dimension mismatch")
-    return lead_residue(p, _dirac_average(dirac_symbol(TorsionTensor.zero(dim), dim)))
+def spectral_closedness_check(p: Multivector) -> ResidueValue:
+    """W(P D |D|^{-n}) for a zero-order P and the torsion-free D, n = p.dim; exactly 0."""
+    return lead_residue(p, _dirac_average(dirac_symbol(TorsionTensor.zero(p.dim), p.dim)))
 
 
-def _inverse_power_average(dim: int) -> SymbolSum:
-    """sphere_average of the unit times |D|^{-n}, for the torsion-free D."""
-    return sphere_average(_zero_order_symbol(Multivector.scalar(dim, QQi(Fraction(1)))),
-                          inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim)))
+def _free_average(p: Multivector) -> SymbolSum:
+    """sphere_average of a zero-order P times |D|^{-n}, for the torsion-free D, n = p.dim."""
+    return sphere_average(_zero_order_symbol(p),
+                          inverse_power_symbol(dirac_symbol(TorsionTensor.zero(p.dim), p.dim)))
 
 
 def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
@@ -497,11 +472,13 @@ def metric_functional(u: OneForm, v: OneForm, dim: int) -> ResidueValue:
         raise ValueError("metric functional requires even dimension")
     if u.dim != dim or v.dim != dim:
         raise ValueError("dimension mismatch among inputs")
-    return lead_residue(u.action() * v.action(), _inverse_power_average(dim))
+    return lead_residue(u.action() * v.action(),
+                        _free_average(Multivector.scalar(dim, QQi(1))))
 
 
 def volume_functional(f: ScalarLike, dim: int) -> ResidueValue:
     """W(f D^{-n}) for even n and a scalar f: equals 2^m V(S^{n-1}) f."""
     if dim % 2:
         raise ValueError("volume functional requires even dimension")
-    return lead_residue(Multivector.scalar(dim, QQi.coerce(f)), _inverse_power_average(dim))
+    return lead_residue(Multivector.scalar(dim, QQi.coerce(f)),
+                        _free_average(Multivector.scalar(dim, QQi(1))))

@@ -90,7 +90,7 @@ def chirality_cases(rng) -> list:
         u = random_one_form(rng, 4)
         cases.append({"kind": "chirality", "dim": 4,
                       "torsion": [[list(k), rat(x)] for k, x in sorted(t.entries.items())],
-                      "u": form(u), "value": value(chirality_functional(u, t, 4))})
+                      "u": form(u), "value": value(chirality_functional(u, t))})
     return cases
 
 

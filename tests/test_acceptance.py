@@ -218,7 +218,7 @@ def test_criterion_05_spectral_closedness():
         rng = Random(500 + dim)
         for i in range(100):
             p = _random_multivector(rng, dim, terms=4)
-            val = spectral_closedness_check(p, dim)
+            val = spectral_closedness_check(p)
             assert val.is_zero(), f"n={dim} P#{i}: residue {val}"
     _line(5, True, "200 random zero-order sections give exact zero (n=3,4)")
 

@@ -61,7 +61,7 @@ def evaluate(case):
             return jet_torsion_functional(*args, {tuple(k): rat(v) for k, v in case["jet"]})
         return torsion_functional(*args)
     if kind == "chirality":
-        return chirality_functional(form(dim, case["u"]), tensor(dim, case["torsion"]), dim)
+        return chirality_functional(form(dim, case["u"]), tensor(dim, case["torsion"]))
     if kind == "metric":
         return metric_functional(form(dim, case["u"]), form(dim, case["v"]), dim)
     if kind == "volume":

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from spectral_torsion import (ContorsionTensor, EymModel, HomogeneousSymbol, MatrixQQ,
                               Multivector, OneForm, QQi, ResidueValue, SymbolSum,
-                              TorsionTensor, chirality_functional, closed_form_torsion,
-                              contorsion_from_torsion, eym_dirac_symbol,
-                              metric_functional, pipeline_coefficient, qi,
+                              TorsionTensor, chirality, chirality_functional,
+                              closed_form_torsion, contorsion_from_torsion,
+                              eym_dirac_symbol, metric_functional, pipeline_coefficient, qi,
                               spectral_closedness_check, torsion_contraction,
                               torsion_from_contorsion, torsion_functional,
                               trace_power, volume_functional)
@@ -22,11 +22,10 @@ from spectral_torsion.sampling import (random_anti_hermitian_traceless, random_f
                                        random_one_form, random_qqi, random_torsion)
 from spectral_torsion.symcalc import compose, integrate_product, sphere_integrate
 from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _dirac_square,
-                                      _lead_on_words,
+                                      _free_average, _held_words, _lead_on_words,
                                       _zero_order_symbol, dirac_symbol,
                                       first_order_symbol, inverse_power_symbol, lead_residue,
                                       residue_of_symbol, sphere_average,
-                                      torsion_components_from_contorsion,
                                       torsion_form_multivector)
 
 from oracle import (CurvatureJet, FrameConnection, _half_cyclic_sum, averaged_potential,
@@ -44,6 +43,19 @@ def _contorsion_draws():
     for seed in range(60):
         rng = Random(900 + seed)
         yield random_contorsion(rng, 3 + seed % 3, sparsity=(0.05, 0.2, 0.7)[seed // 3 % 3])
+
+
+def _full_sweep_inverse(tau):
+    """Reference for torsion_from_contorsion: all n^3 components
+    T_ijk = tau_ijk - tau_jik through get, the increasing keys kept, and the
+    same round-trip refusal."""
+    rng = range(1, tau.dim + 1)
+    comp = {(i, j, k): tau.get(i, j, k) - tau.get(j, i, k)
+            for i in rng for j in rng for k in rng}
+    t = TorsionTensor(tau.dim, {key: v for key, v in comp.items() if key[0] < key[1] < key[2]})
+    if contorsion_from_torsion(t) != tau:
+        raise ValueError("contorsion does not yield a totally antisymmetric torsion")
+    return t
 
 
 def _totally_antisymmetric(tau) -> bool:
@@ -117,12 +129,27 @@ class TestTensors:
                     accepted += bool(t.entries)
         assert accepted
 
-    def test_components_antisymmetric_in_first_pair(self):
-        rng = Random(11)
-        tau = random_contorsion(rng, 4)
-        comp = torsion_components_from_contorsion(tau)
-        for (i, j, k), v in comp.items():
-            assert comp.get((j, i, k), Fraction(0)) == -v
+    def test_direct_inverse_matches_the_full_sweep(self):
+        # the C(n,3) direct read accepts and refuses exactly the contorsions
+        # the n^3 sweep does, and returns the same torsion
+        rng = Random(12)
+        cases = [ContorsionTensor(3, {(1, 1, 2): Fraction(1)}),
+                 ContorsionTensor(3, {(2, 1, 3): Fraction(1)}),
+                 ContorsionTensor(4, {})]
+        cases += [contorsion_from_torsion(random_torsion(rng, dim)) for dim in (3, 4, 5)]
+        cases += list(_contorsion_draws())
+        outcomes = set()
+        for tau in cases:
+            try:
+                want = _full_sweep_inverse(tau)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    torsion_from_contorsion(tau)
+                outcomes.add("refused")
+            else:
+                assert torsion_from_contorsion(tau) == want
+                outcomes.add("accepted" if want.entries else "zero")
+        assert outcomes == {"accepted", "refused", "zero"}
 
     def test_non_totally_antisymmetric_rejected(self):
         # tau_{112} = 1 gives T_{ijk} antisymmetric in (i,j) but not totally
@@ -353,7 +380,22 @@ class TestSharedResiduePath:
         with pytest.raises(ValueError, match=message):
             sphere_average(op, one)
         with pytest.raises(ValueError, match=message):
-            residue_of_symbol(op, dim)
+            lead_residue(Multivector.scalar(dim, QQi(1)), op)
+
+    def test_window_checked_on_the_factors(self):
+        # (1 + g^1)(1 - g^1) = 0, so the product's degree -1 cancels and its
+        # surviving leading degree -2 would admit -3, which compose never
+        # computed from factors tracked at degrees (0) and (-1, -2)
+        dim = 3
+        g1 = Multivector.gamma(dim, 1)
+        one = Multivector.scalar(dim, QQi(1))
+        lead = one + g1
+        averaged = SymbolSum(dim, {-1: HomogeneousSymbol.radial(dim, -1, one + g1.scale(-1)),
+                                   -2: HomogeneousSymbol.radial(dim, -2, g1)})
+        assert compose(_zero_order_symbol(lead), averaged).leading_degree == -2
+        message = r"degree -3 component not tracked \(leading -1, tracked 2\)"
+        with pytest.raises(ValueError, match=message):
+            lead_residue(lead, averaged)
 
 
 def _mixed_grade(rng: Random, dim: int, grades=None) -> Multivector:
@@ -403,6 +445,21 @@ class TestGradeLaw:
         assert not want.is_zero()
         assert functional(v3 + rest) == want
         assert functional(rest).is_zero()
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_torsion_average_holds_grade_three_only(self, dim):
+        # the rule _lead_on_words relies on: dense, cyclic-band and
+        # random-density torsion averages hold grade-3 words alone
+        rng = Random(850 + dim)
+        band = {tuple(sorted((a + k) % dim + 1 for k in range(3))) for a in range(dim)}
+        draws = [random_torsion(rng, dim, sparsity=1.0),
+                 TorsionTensor(dim, {abc: random_fraction(rng, nonzero=True)
+                                     for abc in band if len(abc) == len(set(abc))})]
+        draws += [random_torsion(rng, dim, sparsity=rng.random()) for _ in range(3)]
+        held = set()
+        for t in draws:
+            held |= _held_words(_dirac_average(dirac_symbol(t, dim)))
+        assert {len(w) for w in held} == ({3} if dim >= 3 else set())
 
     def test_grade_law_coefficients(self):
         # 0 for k = 1, -2 for k = 3, -4 for k = 5, -(n - k - 1) for even k
@@ -655,22 +712,20 @@ class TestLeadCut:
 @st.composite
 def _forms_and_words(draw):
     """Three one-forms with complex components over mixed denominators, zeros
-    included, and a set of canonical words of grades 0..4."""
+    included, and a set of canonical words of grade 3."""
     dim = draw(st.integers(3, 10))
     part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6, 9)))
     comp = st.one_of(st.just(QQi()), st.builds(QQi, part), st.builds(QQi, part, part))
     forms = [OneForm(dim, tuple(draw(st.lists(comp, min_size=dim, max_size=dim))))
              for _ in range(3)]
-    words = set()
-    for k in range(min(dim, 4) + 1):
-        words |= draw(st.sets(st.sampled_from(list(combinations(range(1, dim + 1), k))),
-                              max_size=12))
+    words = draw(st.sets(st.sampled_from(list(combinations(range(1, dim + 1), 3))),
+                         max_size=24))
     return forms, words
 
 
 class TestLeadOnWords:
     """torsion_functional forms the lead u v w only on the words the average
-    holds, from minors and dot products of the one-forms."""
+    holds, all of grade 3, from minors of the one-forms."""
 
     @settings(max_examples=120, deadline=None)
     @given(_forms_and_words())
@@ -683,16 +738,27 @@ class TestLeadOnWords:
 
     @pytest.mark.parametrize("dim", range(3, 11))
     def test_grade_one_and_three_words_give_the_whole_product(self, dim):
-        # the grade-1 words never meet the torsion average (c1 = 0), so they
-        # are checked here: on every word of grade 1 and 3 the lead is u v w
+        # u v w holds words of grades 1 and 3; on every word of grade 3 the
+        # lead is the product's grade-3 part, and a grade-1 word is refused
         rng = Random(1920 + dim)
-        words = [w for k in (1, 3) for w in combinations(range(1, dim + 1), k)]
+        words = list(combinations(range(1, dim + 1), 3))
         for _ in range(3):
             u, v, w = (OneForm(dim, tuple(random_qqi(rng) for _ in range(dim)))
                        for _ in range(3))
             full = u.action() * v.action() * w.action()
-            assert any(len(word) == 1 for word in full.terms)
-            assert _lead_on_words(u, v, w, words) == full
+            assert {len(word) for word in full.terms} == {1, 3}
+            assert _lead_on_words(u, v, w, words).terms == \
+                {word: c for word, c in full.terms.items() if len(word) == 3}
+            with pytest.raises(ValueError, match="grade-3 words only"):
+                _lead_on_words(u, v, w, words + [(1,)])
+
+    @pytest.mark.parametrize("grade", [0, 1, 2, 4])
+    def test_other_grades_refused(self, grade):
+        u, v, w = frame_triple(5)
+        word = tuple(range(1, grade + 1))
+        for words in ([word], [(1, 2, 3), word]):
+            with pytest.raises(ValueError, match="grade-3 words only"):
+                _lead_on_words(u, v, w, words)
 
     def test_band_call_forms_no_one_form_product(self, monkeypatch):
         # an n = 8 cyclic-band call: the 16 products of the square and the
@@ -793,7 +859,20 @@ class TestChirality:
     def test_dimension_must_be_four(self):
         t = TorsionTensor(6, {(1, 2, 3): Fraction(1)})
         with pytest.raises(ValueError):
-            chirality_functional(OneForm.frame(6, 1), t, dim=6)
+            chirality_functional(OneForm.frame(6, 1), t)
+
+
+class TestFreeAverage:
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_matches_the_inline_build(self, dim):
+        # P = 1 (the metric and volume functionals) at every n, and P = chi
+        # (the doubled evaluator) at even n, against sphere_average spelled out
+        power = inverse_power_symbol(dirac_symbol(TorsionTensor.zero(dim), dim))
+        leads = [Multivector.scalar(dim, QQi(1))] + ([chirality(dim)] if dim % 2 == 0 else [])
+        for p in leads:
+            want = sphere_average(_zero_order_symbol(p), power)
+            assert want.parts
+            assert _parts(_free_average(p)) == _parts(want)
 
 
 class TestClosedness:
@@ -803,7 +882,7 @@ class TestClosedness:
         rng = Random(88)
         for _ in range(10):
             p = _random_multivector(rng, dim, terms=4)
-            assert spectral_closedness_check(p, dim).is_zero()
+            assert spectral_closedness_check(p).is_zero()
 
 
 class TestMetricVolume:
