@@ -27,6 +27,8 @@ from .symcalc import SymbolSum
 from .torsion import (OneForm, ResidueValue, _dirac_average, _free_average,
                       first_order_symbol, lead_residue)
 
+_ZERO = QQi()   # shared by every doubled residue: QQi is immutable
+
 
 def left_mult_matrix(a: MatrixQQ) -> MatrixQQ:
     """L_A acting on M_N by left multiplication, on the basis E_{alpha beta}
@@ -204,7 +206,7 @@ class DoubledEvaluator:
             raise ValueError("one-forms built over different Phi")
         phi, dim = o1.phi, self.dim
         b1, b2, b3 = o1.blocks, o2.blocks, o3.blocks
-        total = ResidueValue(QQi(), dim)
+        total = ResidueValue(_ZERO, dim)
         for i, phase in ((0, phi.conj()), (1, phi)):
             j = 1 - i
             # row i of o1 o2, formed only where it meets a nonempty block of o3

@@ -68,10 +68,13 @@ _WORD_PRODUCTS: Dict[Tuple[IndexWord, IndexWord], Tuple[int, IndexWord]] = {}
 
 
 def _word_product(pair: Tuple[IndexWord, IndexWord]) -> Tuple[int, IndexWord]:
-    """Fill and return the entry a product misses.  An entry (sign, word) is
-    always truthy, hence `table.get(pair) or _word_product(pair)`; reduce_word
-    is read as a module global, so a replaced one (a call counter) takes."""
-    product = _WORD_PRODUCTS[pair] = reduce_word(pair[0] + pair[1])
+    """The table's entry (sign, word) for a pair of canonical words, filled on
+    a miss.  An entry is always truthy, so the product loops inline the hit as
+    `table.get(pair) or _word_product(pair)`; reduce_word is read as a module
+    global, so a replaced one (a call counter) takes."""
+    product = _WORD_PRODUCTS.get(pair)
+    if product is None:
+        product = _WORD_PRODUCTS[pair] = reduce_word(pair[0] + pair[1])
     return product
 
 

@@ -16,15 +16,16 @@ Composition follows sigma(AB) = sum_alpha (1/alpha!) d_xi^alpha A . (-i d_x)^alp
 with order-1 jets only |alpha| <= 1 contributes, exactly.  That rule is one
 generator of factor pairs per degree (_factor_pairs).  compose multiplies every
 pair; integrate_product, the sphere integral at x = 0 of the degree -n part of
-a product, walks the same pairs and multiplies only the term pairs that are
-free of x and have an even exponent sum, the only ones with a nonzero moment.
+a product, walks the same pairs and visits only the term pairs that are free
+of x and agree in exponent parity, the only ones with a nonzero moment; each
+moment is formed once per (alpha, n), and a unit moment adds no product.
 
 Powers are closed forms.  When the leading part L of a is c ||xi||^p times the
 unit with no x factor, and S is the next component, a^e = L^e + e L^(e-1) S on
 the TRACKED = 2 degrees: every composition correction involving L
 differentiates it in x, which gives zero, or lands two degrees below the top.  parametrix
 (e = -1), negative_power (the m-th power of the parametrix) and sqrt_symbol
-(e = 1/2) write that form down and form no product.  L is read only in the
+(e = 1/2) write that form down in one pass over S and form no product.  L is read only in the
 spellings compose and the powers write, c ||xi||^p and sum_j c xi_j^2 ||xi||^(p-2)
 (or a sum of the two); any other spelling is refused, so the calculus never
 has to decide whether two spellings are the same function.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -295,17 +297,19 @@ def _leading_scalar(hs: HomogeneousSymbol):
 
 def _power(a: SymbolSum, lead, e) -> SymbolSum:
     """a^e = L^e + e L^(e-1) S (see the module docstring), for lead = (p, c, one)
-    of L, S = a.component(p - 1), and e an integer or c = 1."""
+    of L, S = a.component(p - 1), and e an integer or c = 1.  Each term of S is
+    shifted to its new norm power and scaled by e c^(e-1) in one pass."""
     p, c, one = lead
     ce1, k = QQi(Fraction(1)), (0 if c == 1 else int(e) - 1)   # c^(e-1)
     for _ in range(abs(k)):
         ce1 = ce1 * c if k > 0 else ce1 / c
-    top = int(p * e)
+    top, f, ce = int(p * e), ce1 * e, ce1 * c
+    keep = f == 1   # a factor 1 forms no product; f is nonzero, so none vanishes
     sub = HomogeneousSymbol(a.dim, top - 1)
-    sub.terms = {(alpha, rho + top - p, xj): mv for (alpha, rho, xj), mv
-                 in a.component(p - 1).scale(ce1 * e).terms.items()}
+    sub.terms = {(alpha, rho + top - p, xj): mv if keep else mv.scale(f)
+                 for (alpha, rho, xj), mv in a.component(p - 1).terms.items()}
     return SymbolSum(a.dim, {top: HomogeneousSymbol.radial(
-        a.dim, top, Multivector.scalar(a.dim, one).scale(ce1 * c)), top - 1: sub})
+        a.dim, top, Multivector.scalar(a.dim, one if ce == 1 else one * ce)), top - 1: sub})
 
 
 def parametrix(a: SymbolSum) -> SymbolSum:
@@ -360,11 +364,20 @@ def moment(alpha: Iterable[int], dim: int) -> Fraction:
     return Fraction(num, den)
 
 
+@lru_cache(maxsize=4096)
+def _moment_qqi(alpha: Tuple[int, ...], dim: int) -> QQi:
+    """moment(alpha, dim) as a QQi, formed once per (alpha, dim)."""
+    return QQi.coerce(moment(alpha, dim))
+
+
 def _add_scaled(acc: Dict[Tuple[int, ...], object], c: QQi, mv: Multivector) -> None:
-    """acc += c * mv, word by word, dropping words that cancel."""
+    """acc += c * mv, word by word, dropping words that cancel; for c = 1 (the
+    unit-word moment) each coefficient is added as it is."""
+    unit = c == 1
     for word, coeff in mv.terms.items():
+        term = coeff if unit else c * coeff
         s = acc.get(word)
-        s = c * coeff if s is None else s + c * coeff
+        s = term if s is None else s + term
         if s:
             acc[word] = s
         else:
@@ -377,9 +390,9 @@ def sphere_integrate(h: HomogeneousSymbol) -> Multivector:
     for (alpha, _rho, xj), mv in h.terms.items():
         if xj:
             continue  # x = 0 at the base point
-        c = moment(alpha, h.dim)
+        c = _moment_qqi(alpha, h.dim)
         if c:
-            _add_scaled(acc, QQi.coerce(c), mv)
+            _add_scaled(acc, c, mv)
     out = Multivector(h.dim)
     out.terms = acc
     return out
@@ -395,11 +408,13 @@ def _check_tracked(lead: int, degree: int) -> None:
 def integrate_product(a: SymbolSum, b: SymbolSum) -> Multivector:
     """sphere_integrate(compose(a, b).component(-n)), n = a.dim, in one pass.
 
-    Walks compose's factor pairs (_factor_pairs) and multiplies only the term
+    Walks compose's factor pairs (_factor_pairs) and visits only the term
     pairs the integral keeps: both terms free of x (x = 0 at the base point)
-    and an even exponent sum (odd sphere moments vanish); a QQi unit factor
-    is not multiplied, as in hs_mul.  Rejects a product whose tracked window
-    misses -n.
+    and an even exponent sum (odd sphere moments vanish).  The right factor's
+    x-free terms are bucketed by the parity of their exponents, and each left
+    term meets only the bucket of its own parity: n + 1 of the n^2 + 1 pairs
+    for D |D|^{-n}.  A QQi unit factor is not multiplied, as in hs_mul.
+    Rejects a product whose tracked window misses -n.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -410,16 +425,16 @@ def integrate_product(a: SymbolSum, b: SymbolSum) -> Multivector:
     lead_a = a.leading_degree
     _check_tracked(lead_a + b.leading_degree, -dim)
     for x, y, s in _factor_pairs(a, b, lead_a, -dim):
-        ys = [(al, mv, _is_unit(mv)) for (al, _, xj), mv in y.terms.items() if not xj]
+        ys: Dict[Tuple[int, ...], list] = {}
+        for (al, _, xj), mv in y.terms.items():
+            if not xj:
+                ys.setdefault(tuple(e & 1 for e in al), []).append((al, mv, _is_unit(mv)))
         for (al1, _, x1), m1 in x.terms.items():
             if x1:
                 continue
             unit1 = _is_unit(m1)
-            for al2, m2, unit2 in ys:
-                alpha = tuple(p + q for p, q in zip(al1, al2))
-                if any(e % 2 for e in alpha):
-                    continue
-                c = QQi.coerce(moment(alpha, dim))
+            for al2, m2, unit2 in ys.get(tuple(e & 1 for e in al1), ()):
+                c = _moment_qqi(tuple(p + q for p, q in zip(al1, al2)), dim)
                 _add_scaled(out.terms, c if s is None else c * s,
                             m2 if unit1 else m1 if unit2 else m1 * m2)
     return out

@@ -16,8 +16,9 @@ The residue is linear in kappa.  The symbol calculus keeps x-linear terms
 connection term linear in x never reaches the residue, which the tests prove
 with a curvature jet of their own.
 
-The pipeline: inverse_power_symbol writes D^2 down from that symbol and takes
-one closed-form power of it to |D|^{-n}; sphere_average integrates the
+The pipeline: dirac_symbol writes the potential -6i*kappa T_abc g^abc;
+inverse_power_symbol writes D^2 down from the word table, with no product, and
+takes one closed-form power of it to |D|^{-n}; sphere_average integrates the
 degree -n part of D |D|^{-n} over the sphere in one pass from the two factors
 (symcalc.integrate_product), without composing them; lead_residue checks its
 window, cuts the lead to the words the average holds, the only ones the trace
@@ -32,8 +33,8 @@ from itertools import combinations
 from math import lcm
 from typing import ClassVar, Dict, Iterable, List, Mapping, Set, Tuple
 
-from .clifford import (Multivector, chirality, clifford_action, clifford_trace,
-                       trace_power)
+from .clifford import (Multivector, _word_product, chirality, clifford_action,
+                       clifford_trace, trace_power)
 from .scalars import QQi, ScalarLike, _frac, _reduced, qi
 from .symcalc import (HomogeneousSymbol, SymbolSum, _check_tracked, compose,
                       integrate_product, negative_power, sphere_integrate, sphere_volume,
@@ -201,12 +202,6 @@ class ResidueValue:
 
 # Dirac symbol and the residue pipeline --------------------------------------
 
-def torsion_form_multivector(t: TorsionTensor) -> Multivector:
-    """sum_{jkl} T_{jkl} g^j g^k g^l = sum_{a<b<c} 6 T_abc g^abc as a canonical multivector:
-    T is totally antisymmetric and distinct gammas anticommute, so all six orderings agree."""
-    return Multivector(t.dim, {abc: QQi(6 * v) for abc, v in t.entries.items()})
-
-
 def first_order_symbol(dim: int, one, potential: Mapping[int, Multivector]) -> SymbolSum:
     """-g^j xi_j (x) one + sum_s potential[s] x_s, with x_0 = 1 for the x-free part.
 
@@ -224,13 +219,18 @@ def dirac_symbol(t: TorsionTensor, dim: int) -> SymbolSum:
     """Full symbol of D_T in normal coordinates at the base point.
 
     Degree 1: -g^j xi_j.  Degree 0: -i*kappa T_{jkl} g^j g^k g^l with
-    kappa = TORSION_KAPPA, free of x.  An x-linear connection term cannot
+    kappa = TORSION_KAPPA, free of x, written as -6i*kappa T_abc on each stored
+    a < b < c: T is totally antisymmetric and distinct gammas anticommute, so
+    the six orderings of g^a g^b g^c agree.  An x-linear connection term cannot
     change the residue; the tests build one with first_order_symbol and prove so.
     """
     if t.dim != dim:
         raise ValueError("torsion dimension mismatch")
-    potential = {0: torsion_form_multivector(t).scale(qi(0, -TORSION_KAPPA))}
-    return first_order_symbol(dim, QQi(Fraction(1)), potential)
+    k = -6 * TORSION_KAPPA
+    cube = Multivector(dim)   # T's stored keys are canonical words, its entries nonzero
+    cube.terms = {abc: _reduced(0, k.numerator * v.numerator, k.denominator * v.denominator)
+                  for abc, v in t.entries.items()}
+    return first_order_symbol(dim, QQi(Fraction(1)), {0: cube})
 
 
 def _dirac_square(d: SymbolSum) -> SymbolSum:
@@ -242,9 +242,11 @@ def _dirac_square(d: SymbolSum) -> SymbolSum:
     The cross terms g^j g^k cancel in pairs, and the first-order correction
     d_xi D . d_x D lands at degree 0, below the tracked ones.  For a word w,
     g^j w + w g^j is 2 g^j w when w holds j and has odd length or holds no j
-    and has even length, and 0 otherwise, so only those words are multiplied.
-    The result equals compose(d, d), with ||xi||^2 spelled sum_j xi_j^2 as
-    compose spells it.  Any other spelling of d is refused.
+    and has even length, and 0 otherwise.  One pass sorts each potential word
+    to the j it keeps (its letters at odd grade, the others at even grade) and
+    writes -2 g^j w from the word table, with no product; g^j permutes the
+    words, so each is written once.  The result equals compose(d, d), with
+    ||xi||^2 spelled sum_j xi_j^2 as compose spells it.  Any other spelling of d is refused.
     """
     dim = d.dim
     if set(d.parts) - {0, 1} or 1 not in d.parts:
@@ -266,14 +268,17 @@ def _dirac_square(d: SymbolSum) -> SymbolSum:
     potential = d.component(0).terms
     if any(any(alpha) for alpha, _, _ in potential):
         raise ValueError("degree-0 term depends on xi")
+    two, minus_two = QQi(2), QQi(-2)
     deg1: Dict[Tuple[Tuple[int, ...], int, int], Multivector] = {}
-    for j, alpha in axes.items():
-        g = Multivector.gamma(dim, j)
-        for (_, _, s), v in potential.items():
-            kept = Multivector(dim)
-            kept.terms = {w: m for w, m in v.terms.items() if (j in w) == (len(w) % 2 == 1)}
-            if kept:
-                deg1[(alpha, 0, s)] = (g * kept).scale(-2)
+    for (_, _, s), v in potential.items():
+        rows: Dict[int, Dict[Tuple[int, ...], object]] = {}
+        for w, m in v.terms.items():
+            for j in (w if len(w) % 2 else [k for k in axes if k not in w]):
+                sign, word = _word_product(((j,), w))
+                rows.setdefault(j, {})[word] = m * (minus_two if sign > 0 else two)
+        for j, terms in rows.items():
+            deg1[(axes[j], 0, s)] = row = Multivector(dim)
+            row.terms = terms
     square = Multivector.scalar(dim, one)
     return SymbolSum(dim, {
         2: HomogeneousSymbol(dim, 2, {(tuple(2 * a for a in alpha), 0, 0): square

@@ -11,7 +11,8 @@ for the sphere average of a potential, the symbol of D |D|^{-n} composed
 in full (D^2, the odd-n power and D times the power by compose), and the lead
 residue with the whole lead composed.  It also holds the constructions only the
 tests build with: raw gamma words (GammaWord, canonicalize), frame structure
-constants (FrameConnection, levi_civita_from_structure), random contorsions,
+constants (FrameConnection, levi_civita_from_structure), rational frame
+changes (rotate, signed_permutation, cayley_rotation), random contorsions,
 curvature jets (CurvatureJet) and the torsion functional of a Dirac symbol
 with an x-linear connection jet (jet_torsion_functional)."""
 from __future__ import annotations
@@ -41,7 +42,7 @@ from spectral_torsion.symcalc import (MINUS_I, TRACKED, _leading_scalar, compose
                                       hs_dxi, hs_mul)
 from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _Tensor3,
                                       _zero_order_symbol, first_order_symbol,
-                                      residue_of_symbol, torsion_form_multivector)
+                                      residue_of_symbol)
 
 ID2 = MatrixQQ.identity(2)
 PAULI = (
@@ -281,6 +282,57 @@ def torsion_cube(t: TorsionTensor) -> Multivector:
             out = out + (Multivector.gamma(t.dim, p[0]) * Multivector.gamma(t.dim, p[1])
                          * Multivector.gamma(t.dim, p[2])).scale(t.get(*p))
     return out
+
+
+Rotation = Tuple[Tuple[Fraction, ...], ...]   # rows of a rational orthogonal matrix
+
+
+def _det3(r: Rotation, rows, cols) -> Fraction:
+    """The 3x3 minor of r on the given 1-based rows and columns."""
+    (a, b, c), (i, j, k) = (x - 1 for x in rows), (x - 1 for x in cols)
+    return (r[a][i] * (r[b][j] * r[c][k] - r[b][k] * r[c][j])
+            - r[a][j] * (r[b][i] * r[c][k] - r[b][k] * r[c][i])
+            + r[a][k] * (r[b][i] * r[c][j] - r[b][j] * r[c][i]))
+
+
+def rotate(r: Rotation, x):
+    """The frame change R on a OneForm, (R u)_a = R_ab u_b, or on a
+    TorsionTensor, (R T)_abc = R_ai R_bj R_ck T_ijk.  By total antisymmetry the
+    latter is the sum over the stored i < j < k of T_ijk times the 3x3 minor of
+    R on rows a, b, c and columns i, j, k."""
+    dim = len(r)
+    if isinstance(x, OneForm):
+        return OneForm(dim, tuple(sum((c * QQi(r[a][b]) for b, c in enumerate(x.components)),
+                                      QQi()) for a in range(dim)))
+    return TorsionTensor(dim, {abc: sum((v * _det3(r, abc, ijk) for ijk, v in x.entries.items()),
+                                        Fraction(0))
+                               for abc in combinations(range(1, dim + 1), 3)})
+
+
+def signed_permutation(perm, signs) -> Rotation:
+    """R with R_{a, perm[a]} = signs[a] (0-based), every other entry 0."""
+    return tuple(tuple(Fraction(s if b == p else 0) for b in range(len(perm)))
+                 for p, s in zip(perm, signs))
+
+
+def cayley_rotation(a) -> Rotation:
+    """R = (1 - A)(1 + A)^{-1} for a rational antisymmetric A: a rotation with
+    rational entries (1 + A is invertible, its eigenvalues are 1 + i lambda).
+    The inverse is taken by Gauss-Jordan elimination over Fractions."""
+    n = len(a)
+    aug = [[Fraction(i == j) + a[i][j] for j in range(n)] + [Fraction(i == j) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    minus = [[Fraction(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+    return tuple(tuple(sum((minus[i][k] * inv[k][j] for k in range(n)), Fraction(0))
+                       for j in range(n)) for i in range(n))
 
 
 def torus_product(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -550,7 +602,7 @@ def connection_jet_potential(dim: int, omega_jet: Mapping[Tuple[int, int, int, i
 def jet_dirac_symbol(t: TorsionTensor, dim: int,
                      omega_jet: Mapping[Tuple[int, int, int, int], Fraction]) -> SymbolSum:
     """dirac_symbol(t, dim) with the connection jet's x-linear terms added."""
-    potential = {0: torsion_form_multivector(t).scale(qi(0, -TORSION_KAPPA)),
+    potential = {0: torsion_cube(t).scale(qi(0, -TORSION_KAPPA)),
                  **connection_jet_potential(dim, omega_jet)}
     return first_order_symbol(dim, QQi(Fraction(1)), potential)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, prod
 from random import Random
 
 import pytest
@@ -25,13 +26,13 @@ from spectral_torsion.torsion import (TORSION_KAPPA, _dirac_average, _dirac_squa
                                       _free_average, _held_words, _lead_on_words,
                                       _zero_order_symbol, dirac_symbol,
                                       first_order_symbol, inverse_power_symbol, lead_residue,
-                                      residue_of_symbol, sphere_average,
-                                      torsion_form_multivector)
+                                      residue_of_symbol, sphere_average)
 
 from oracle import (CurvatureJet, FrameConnection, _half_cyclic_sum, averaged_potential,
-                    composed_inverse_power, dirac_power, jet_torsion_functional,
-                    levi_civita_from_structure, perturbation_residue, random_contorsion,
-                    reference_lead_residue, torsion_cube)
+                    cayley_rotation, composed_inverse_power, dirac_power,
+                    jet_torsion_functional, levi_civita_from_structure, perturbation_residue,
+                    random_contorsion, reference_lead_residue, rotate, signed_permutation,
+                    torsion_cube)
 
 
 def frame_triple(dim):
@@ -355,6 +356,65 @@ class TestPipeline:
                                    {(1, 2, 3, 1): 0.1})
 
 
+def _invariance_draws(dim: int):
+    """(u, v, w, T) for a cyclic-band and a dense torsion, one-forms with
+    nonzero QQi components."""
+    rng = Random(2100 + dim)
+    band = {tuple(sorted((a + k) % dim + 1 for k in range(3))) for a in range(dim)}
+    for keys in (sorted(band), list(combinations(range(1, dim + 1), 3))):
+        t = TorsionTensor(dim, {abc: random_fraction(rng, nonzero=True) for abc in keys})
+        yield (*(OneForm(dim, tuple(random_qqi(rng, nonzero=True) for _ in range(dim)))
+                 for _ in range(3)), t)
+
+
+class TestInvariance:
+    """torsion_functional contracts u^ v^ w^ with T, so it needs no constant to
+    be checked: one orthogonal frame change on all four inputs, reflections
+    included, leaves it unchanged, and it is totally antisymmetric in (u, v, w).
+    Every value read is nonzero, so a fault that empties the average fails."""
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_signed_permutations(self, dim):
+        rng = Random(2200 + dim)
+        for u, v, w, t in _invariance_draws(dim):
+            base = torsion_functional(u, v, w, t, dim)
+            assert not base.is_zero()
+            for det in (1, -1):
+                perm = rng.sample(range(dim), dim)
+                signs = [rng.choice((1, -1)) for _ in range(dim)]
+                if _epsilon([p + 1 for p in perm]) * prod(signs) != det:
+                    signs[0] = -signs[0]
+                r = signed_permutation(perm, signs)
+                assert torsion_functional(*(rotate(r, x) for x in (u, v, w, t)), dim) == base
+
+    @pytest.mark.parametrize("dim", range(3, 7))
+    def test_cayley_rotation(self, dim):
+        rng = Random(2300 + dim)
+        a = [[Fraction(0)] * dim for _ in range(dim)]
+        for i, j in combinations(range(dim), 2):
+            a[i][j] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            a[j][i] = -a[i][j]
+        r = cayley_rotation(a)
+        assert [[sum(x * y for x, y in zip(ri, rj)) for rj in r] for ri in r] == \
+            [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for u, v, w, t in _invariance_draws(dim):
+            base = torsion_functional(u, v, w, t, dim)
+            assert not base.is_zero()
+            turned = rotate(r, t)
+            assert len(turned.entries) == comb(dim, 3)   # the rotated T is dense
+            assert torsion_functional(rotate(r, u), rotate(r, v), rotate(r, w),
+                                      turned, dim) == base
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_total_antisymmetry(self, dim):
+        for *forms, t in _invariance_draws(dim):
+            base = torsion_functional(*forms, t, dim)
+            assert not base.is_zero()
+            for perm in permutations(range(3)):
+                assert torsion_functional(*(forms[p] for p in perm), t, dim) == \
+                    base.scale(_epsilon([p + 1 for p in perm]))
+
+
 class TestSharedResiduePath:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_matches_composed_reference(self, dim):
@@ -499,6 +559,20 @@ class TestWrittenDownProducts:
     def test_square_is_compose(self, dim):
         for d, _ in _dirac_draws(dim):
             assert _parts(_dirac_square(d)) == _parts(compose(d, d))
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_square_forms_no_product(self, dim, monkeypatch):
+        # each g^j w is read from the word table, over QQi and MatrixQQ alike
+        draws = _dirac_draws(dim)
+        mul, calls = Multivector.__mul__, []
+
+        def spy(a, b):
+            calls.append(1)
+            return mul(a, b)
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        for d, _ in draws:
+            assert _dirac_square(d).parts[1]
+        assert calls == []
 
     @pytest.mark.parametrize("dim", range(2, 11))
     def test_one_pass_average_is_the_composed_integral(self, dim):
@@ -761,9 +835,9 @@ class TestLeadOnWords:
                 _lead_on_words(u, v, w, words)
 
     def test_band_call_forms_no_one_form_product(self, monkeypatch):
-        # an n = 8 cyclic-band call: the 16 products of the square and the
-        # average (one gamma times the 3 band words holding it) and one 8 x 8
-        # lead compose, and no product with a one-form action as a factor
+        # an n = 8 cyclic-band call: the 8 products of the average (one gamma
+        # times the 3 band words holding it) and one 8 x 8 lead compose, none
+        # in the square, and no product with a one-form action as a factor
         dim = 8
         rng = Random(1950)
         band = {tuple(sorted((a + k) % dim + 1 for k in range(3))) for a in range(dim)}
@@ -783,17 +857,19 @@ class TestLeadOnWords:
             return mul(a, b)
         monkeypatch.setattr(Multivector, "__mul__", spy)
         assert torsion_functional(u, v, w, t, dim) == want
-        assert pairs == [(1, 3)] * 16 + [(dim, dim)]
+        assert pairs == [(1, 3)] * 8 + [(dim, dim)]
         assert not [f for f in factors if f in actions]
 
 
 class TestKernels:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_torsion_cube_matches_oracle(self, dim):
-        # the closed form 6 T_abc g^abc against one triple product per ordering
+        # dirac_symbol's closed form -6i kappa T_abc g^abc against -i kappa
+        # times one triple product per ordering
         t = random_torsion(Random(400 + dim), dim, sparsity=1.0)
         assert t.entries
-        assert torsion_form_multivector(t) == torsion_cube(t)
+        potential = dirac_symbol(t, dim).parts[0].terms[((0,) * dim, 0, 0)]
+        assert potential == torsion_cube(t).scale(qi(0, -TORSION_KAPPA))
 
     def test_dirac_potential_is_minus_i_kappa_times_the_cube(self):
         # the default convention D_T = D - (i/8) T_jkl g^j g^k g^l
